@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from itertools import product
 from typing import Sequence
 
 import numpy as np
@@ -112,7 +111,7 @@ def exact_posterior(
     if _joint_size(m) > ENUMERATION_GUARD:
         raise TooLargeError(f"joint state space {_joint_size(m)} exceeds {ENUMERATION_GUARD}")
     priors = (prior or m.initial_belief()).arrays()
-    joint_prior = reduce(np.multiply.outer, priors)
+    joint_prior = _expected_joint(priors)
     like = np.ones(m.factor_dims)
     for mm, idx in enumerate(_check_observation(m, obs)):
         like = like * m.A[mm][idx]
@@ -128,9 +127,9 @@ def exact_posterior(
     return BeliefState(tuple(marginals)), float(np.log(evidence))
 
 
-def _expected_joint(qs: list[np.ndarray]) -> np.ndarray:
-    w = reduce(np.multiply.outer, qs)
-    return w.reshape(tuple(len(q) for q in qs))
+def _expected_joint(qs: Sequence[np.ndarray]) -> np.ndarray:
+    """Joint state weights prod_f q_f(s_f), shape = the factors' dims."""
+    return reduce(np.multiply.outer, qs)
 
 
 def _masked_expectation(weights: np.ndarray, log_tensor: np.ndarray) -> float:
@@ -188,7 +187,7 @@ def infer_states(
     """
     log_like = joint_log_likelihood(m, obs)
     priors = (prior or m.initial_belief()).arrays()
-    prior_support = reduce(np.multiply.outer, priors)
+    prior_support = _expected_joint(priors)
     if not np.any(np.isfinite(log_like) & (prior_support > 0)):
         raise ZeroEvidenceError("observation impossible under the prior")
     qs = [p.copy() for p in priors]
@@ -315,8 +314,3 @@ def _as_trials(obs) -> list[tuple[int, ...]]:
     if all(isinstance(x, (int, np.integer)) for x in seq):
         return [tuple(seq)]
     return [tuple(int(i) for i in trial) for trial in seq]
-
-
-def enumerate_states(factor_dims: Sequence[int]):
-    """All joint state index tuples, lowest factor varying slowest."""
-    return product(*(range(d) for d in factor_dims))

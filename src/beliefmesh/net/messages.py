@@ -44,10 +44,6 @@ class SpatialAddress:
     def canonical(self) -> str:
         return "/".join(self.segments)
 
-    @staticmethod
-    def parse(text: str, coords=None) -> "SpatialAddress":
-        return SpatialAddress(tuple(text.split("/")), coords)
-
 
 @dataclass(frozen=True)
 class BeliefMessage:

@@ -17,6 +17,7 @@ recorded on the endpoint's decode_errors list and later frames still arrive.
 
 from __future__ import annotations
 
+import contextlib
 import queue
 import socket
 import struct
@@ -105,6 +106,15 @@ class MemoryBus:
                 ep._open = False
 
 
+def _shutdown_close(sock: socket.socket) -> None:
+    """Close a socket so that a thread blocked in its accept or recv returns;
+    close() alone does not wake it."""
+    with contextlib.suppress(OSError):  # never connected, or already closed
+        sock.shutdown(socket.SHUT_RDWR)
+    with contextlib.suppress(OSError):
+        sock.close()
+
+
 def _read_exact(sock: socket.socket, n: int) -> bytes | None:
     buf = bytearray()
     while len(buf) < n:
@@ -191,17 +201,11 @@ class SocketHub:
             if conn in self._conns:
                 self._conns.remove(conn)
                 self._send_locks.pop(conn, None)
-        try:
-            conn.close()
-        except OSError:
-            pass
+        _shutdown_close(conn)
 
     def close(self):
         self._open = False
-        try:
-            self._server.close()
-        except OSError:
-            pass
+        _shutdown_close(self._server)
         with self._lock:
             conns = list(self._conns)
         for conn in conns:
@@ -250,10 +254,7 @@ class SocketEndpoint:
             self._frames.put(payload)
         # hub went away or dropped us: release the fd instead of leaving it to GC
         self._open = False
-        try:
-            self._sock.close()
-        except OSError:
-            pass
+        _shutdown_close(self._sock)
 
     def send(self, msg: BeliefMessage) -> None:
         if not self._open:
@@ -303,10 +304,7 @@ class SocketEndpoint:
 
     def close(self) -> None:
         self._open = False
-        try:
-            self._sock.close()
-        except OSError:
-            pass
+        _shutdown_close(self._sock)
 
 
 def connect_socket_endpoint(address: tuple[str, int], name: str = "") -> SocketEndpoint:

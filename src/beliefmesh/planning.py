@@ -3,13 +3,12 @@
 One-step and multi-step policy scoring (risk + ambiguity, equal by identity to
 negative information gain minus pragmatic value), policy posteriors, and a
 depth-limited recursive planner that asks what the agent will believe after
-each possible observation.
+each possible observation, evaluating each distinct node once per call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 from itertools import product
 from typing import Sequence
 
@@ -25,6 +24,7 @@ from .core import (
     log_stable,
     normalized_exp,
 )
+from .inference import _expected_joint
 
 JOINT_INFO_GAIN_LIMIT = 4096
 
@@ -101,15 +101,11 @@ def expected_states(
     return out
 
 
-def _joint_weights(belief: BeliefState) -> np.ndarray:
-    return reduce(np.multiply.outer, belief.arrays())
-
-
 def predictive_observations(m: GenerativeModel, q: BeliefState) -> list[Categorical]:
     """q(o_m) = sum_s p(o_m|s) prod_f q_f(s_f), per modality."""
     if q.dims != m.factor_dims:
         raise DimMismatchError(f"belief dims {q.dims} != factor dims {m.factor_dims}")
-    w = _joint_weights(q)
+    w = _expected_joint(q.arrays())
     axes = list(range(m.num_factors))
     return [
         Categorical(np.tensordot(a, w, axes=(list(range(1, a.ndim)), axes)))
@@ -169,7 +165,7 @@ def expected_free_energy(
 
     risk = ambiguity = info_gain = pragmatic = 0.0
     for q_t in rollout:
-        w = _joint_weights(q_t)
+        w = _expected_joint(q_t.arrays())
         for mm, a in enumerate(m.A):
             axes_s = (list(range(1, a.ndim)), list(range(m.num_factors)))
             q_o = np.tensordot(a, w, axes=axes_s)
@@ -188,10 +184,6 @@ def expected_free_energy(
         pragmatic=float(pragmatic),
         approximate=not exact,
     )
-
-
-def evaluate_policies(m: GenerativeModel, belief: BeliefState) -> list[EFEReport]:
-    return [expected_free_energy(m, belief, pol) for pol in m.policies]
 
 
 def policy_posterior(G: Sequence[float], E: Categorical, gamma: float) -> PolicyPosterior:
@@ -230,37 +222,36 @@ def _joint_actions(m: GenerativeModel) -> list[tuple[int, ...]]:
 def _posterior_branches(
     m: GenerativeModel, q_next: BeliefState, prune_threshold: float
 ):
-    """Joint-outcome branches from a predicted belief: (weight, next belief).
+    """Joint-outcome branches from a predicted belief: (weight, next belief),
+    every outcome scored at once, in itertools.product order.
 
     Branches under the threshold are dropped and the rest renormalized; if
     nothing survives, the single most probable branch is kept.
     """
-    w = _joint_weights(q_next)
-    outcome_ranges = [range(d) for d in m.modality_dims]
-    branches = []
-    best = None
-    for o in product(*outcome_ranges):
-        like = np.ones(m.factor_dims)
-        for mm, idx in enumerate(o):
-            like = like * m.A[mm][idx]
-        joint = w * like
-        p_o = float(joint.sum())
-        if p_o <= 0.0:
-            continue
-        posterior = joint / p_o
-        marginals = []
-        for f in range(m.num_factors):
-            axes = tuple(ax for ax in range(m.num_factors) if ax != f)
-            marginals.append(Categorical(posterior.sum(axis=axes) if axes else posterior))
-        branch = (p_o, BeliefState(tuple(marginals)))
-        if best is None or p_o > best[0]:
-            best = branch
-        if p_o >= prune_threshold and p_o > 0.0:
-            branches.append(branch)
-    if not branches:
-        branches = [best]
-    total = sum(p for p, _ in branches)
-    return [(p / total, b) for p, b in branches]
+    F = m.num_factors
+    like = m.A[0]
+    for a in m.A[1:]:
+        like = (like[:, None] * a[None]).reshape((-1,) + m.factor_dims)
+    # C order fixes the order in which the sums below add elements, keeping
+    # weights and marginals bit-identical to scoring one outcome at a time
+    joint = np.multiply(_expected_joint(q_next.arrays()), like, order="C")
+    p_o = joint.reshape(len(joint), -1).sum(axis=1)
+    kept = [o for o in np.flatnonzero(p_o > 0.0) if p_o[o] >= prune_threshold]
+    if not kept:
+        kept = [int(np.argmax(p_o))]
+    p = p_o[kept]
+    posterior = joint[kept] / p.reshape((-1,) + (1,) * F)
+    marginals = [posterior.sum(axis=tuple(g + 1 for g in range(F) if g != f)) for f in range(F)]
+    weights = p.tolist()
+    total = sum(weights)
+    return [
+        (w / total, BeliefState(tuple(Categorical(mg[k]) for mg in marginals)))
+        for k, w in enumerate(weights)
+    ]
+
+
+def _belief_key(b: BeliefState) -> bytes:
+    return b"".join(q.tobytes() for q in b.arrays())
 
 
 def sophisticated_root_values(
@@ -272,31 +263,48 @@ def sophisticated_root_values(
 ) -> tuple[list[tuple[int, ...]], np.ndarray]:
     """Per-action values at the root of the recursive planner.
 
-    value(b, d) = min_u [ G_one_step(b, u) + E_{q(o|b,u)}[ value(b|o, d-1) ] ]
+    value(b, u, d) = G_one_step(b, u) + E_{q(o|b,u)}[ min_u' value(b|o, u', d-1) ]
+
+    Within one call, each (belief, action) node, the belief known by the exact
+    bytes of its factor arrays, computes G and its branches once, and each
+    (belief, action, depth) value is computed once. node_budget counts those
+    distinct values; repeat visits are free.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
     actions = _joint_actions(m)
-    budget = [node_budget]
+    nodes: dict[tuple[bytes, tuple[int, ...]], list] = {}
+    values: dict[tuple[bytes, tuple[int, ...], int], float] = {}
+    evaluated = 0
 
-    def action_value(b: BeliefState, u: tuple[int, ...], d: int) -> float:
-        budget[0] -= 1
-        if budget[0] < 0:
+    def action_value(key: bytes, b: BeliefState, u: tuple[int, ...], d: int) -> float:
+        nonlocal evaluated
+        value = values.get((key, u, d))
+        if value is not None:
+            return value
+        evaluated += 1
+        if evaluated > node_budget:
             raise BudgetExceededError(f"planner exceeded {node_budget} node evaluations")
-        pol = Policy((u,))
-        g1 = expected_free_energy(m, b, pol).G
-        if d == 1:
-            return g1
-        (q_next,) = expected_states(m, b, pol)
-        expectation = 0.0
-        for weight, b_next in _posterior_branches(m, q_next, prune_threshold):
-            expectation += weight * min(
-                action_value(b_next, u2, d - 1) for u2 in actions
+        node = nodes.get((key, u))
+        if node is None:
+            node = nodes[key, u] = [expected_free_energy(m, b, Policy((u,))).G, None]
+        value = node[0]
+        if d > 1:
+            if node[1] is None:
+                (q_next,) = expected_states(m, b, Policy((u,)))
+                node[1] = [
+                    (weight, _belief_key(child), child)
+                    for weight, child in _posterior_branches(m, q_next, prune_threshold)
+                ]
+            value += sum(
+                weight * min(action_value(child_key, child, u2, d - 1) for u2 in actions)
+                for weight, child_key, child in node[1]
             )
-        return g1 + expectation
+        values[key, u, d] = value
+        return value
 
-    values = np.array([action_value(belief, u, depth) for u in actions])
-    return actions, values
+    root = _belief_key(belief)
+    return actions, np.array([action_value(root, belief, u, depth) for u in actions])
 
 
 def plan_sophisticated(

@@ -232,3 +232,26 @@ class TestSocketHandshake:
         finally:
             t.join(5.0)
             server.close()
+
+
+class TestSocketClose:
+    def test_close_ends_every_transport_thread(self):
+        start = threading.active_count()
+        before = set(threading.enumerate())
+        hub = SocketHub()
+        a = connect_socket_endpoint(hub.address, "a")
+        b = connect_socket_endpoint(hub.address, "b")
+        a.send(msg("a", 1))
+        b.send(msg("b", 2))
+        assert [m.timestamp for m in b.poll(expect=1, timeout=5.0)] == [1]
+        assert [m.timestamp for m in a.poll(expect=1, timeout=5.0)] == [2]
+        # the hub's accept thread and one reader per connection, on each side
+        started = set(threading.enumerate()) - before
+        assert len(started) == 5
+        a.close()
+        b.close()
+        hub.close()
+        for t in started:
+            t.join(2.0)
+            assert not t.is_alive(), t
+        assert threading.active_count() <= start
