@@ -10,11 +10,10 @@ Exit codes: 0 success, 2 bad configuration or usage, 1 runtime failure.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
-from .config import ConfigInvalidError, ExperimentConfig, config_from_dict
+from .config import ConfigInvalidError, ExperimentConfig, config_from_dict, read_config_file
 from .harness import run_experiment
 
 _OVERRIDE_FIELDS = (
@@ -57,17 +56,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _assemble_config(args: argparse.Namespace) -> ExperimentConfig:
     data: dict = {}
     if args.config is not None:
-        try:
-            text = Path(args.config).read_text(encoding="utf-8")
-        except OSError as exc:
-            raise ConfigInvalidError([f"cannot read config file: {exc}"]) from exc
-        try:
-            loaded = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ConfigInvalidError([f"not valid JSON: {exc}"]) from exc
-        if not isinstance(loaded, dict):
-            raise ConfigInvalidError(["configuration must be a JSON object"])
-        data.update(loaded)
+        data.update(read_config_file(args.config))
     data["scenario"] = args.scenario
     for name in _OVERRIDE_FIELDS:
         value = getattr(args, name)

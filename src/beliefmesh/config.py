@@ -113,10 +113,20 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     return ExperimentConfig(**clean)
 
 
-def load_config(path) -> ExperimentConfig:
-    text = Path(path).read_text(encoding="utf-8")
+def read_config_file(path) -> dict:
+    """The JSON object in a config file; any failure is a ConfigInvalidError."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigInvalidError([f"cannot read config file: {exc}"]) from exc
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigInvalidError([f"not valid JSON: {exc}"]) from exc
-    return config_from_dict(data)
+    if not isinstance(data, dict):
+        raise ConfigInvalidError(["configuration must be a JSON object"])
+    return data
+
+
+def load_config(path) -> ExperimentConfig:
+    return config_from_dict(read_config_file(path))

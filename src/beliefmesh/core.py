@@ -249,6 +249,12 @@ def entropy(p) -> float:
     return float(-(probs * logs).sum())
 
 
+def conditional_entropies(likelihood: np.ndarray) -> np.ndarray:
+    """H[p(o|s)] in nats per state, for a likelihood shaped (outcomes, *state dims)."""
+    logs = np.where(likelihood > 0, log_stable(likelihood), 0.0)
+    return -(likelihood * logs).sum(axis=0)
+
+
 def kl_divergence(q, p) -> float:
     """KL(q || p) in nats. +inf where q puts mass that p excludes."""
     qv, pv = _as_vector(q), _as_vector(p)

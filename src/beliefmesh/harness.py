@@ -38,7 +38,7 @@ from .envs import (
     build_tmaze_model,
     feel_log_evidence,
 )
-from .inference import infer_states, variational_free_energy
+from .inference import LOG_EVIDENCE_FLOOR, infer_states, snap, variational_free_energy
 from .net import (
     BeliefMessage,
     FactorSpec,
@@ -52,21 +52,7 @@ from .net import (
 )
 from .planning import EFEReport, expected_free_energy, sophisticated_root_values
 
-# Wire vectors must stay finite, so impossible outcomes are reported at this
-# floor instead of -inf. exp(-700) underflows to zero after normalization,
-# which keeps fused posteriors exact to double precision.
-LOG_EVIDENCE_FLOOR = -700.0
-
-# Posterior mass at most exp(floor/2) can only be clamp residue; return it to
-# the exact zero the unclamped evidence implies.
-POSTERIOR_SNAP = 1e-150
-
 WHAT_FACTOR_ID = 0
-
-
-def _snap(posterior: Categorical) -> Categorical:
-    probs = np.where(posterior.probs < POSTERIOR_SNAP, 0.0, posterior.probs)
-    return Categorical(probs / probs.sum())
 
 
 @dataclass(frozen=True)
@@ -283,7 +269,7 @@ def run_collective(
                     posterior = fuse_evidence(ref_prior, selected, own_log_evidence=cumulative[i])
                 else:
                     posterior = own_only
-                posteriors.append(_snap(posterior))
+                posteriors.append(Categorical(snap(posterior.probs)))
 
             synchrony_series.append(mean_pairwise_synchrony([p.probs for p in posteriors]))
             for i in range(n):

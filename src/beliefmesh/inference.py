@@ -26,16 +26,27 @@ from .core import (
 
 ENUMERATION_GUARD = 10**6
 
-# Stand-in for ln(0) inside mean-field messages. exp(-690) is still a normal
-# double, so a state kept alive only by the floor scores ~1e-300 and vanishes
-# after normalization, while states with real support are untouched.
+# Finite stand-ins for ln 0. Both sit above ln of the smallest normal double
+# (about -708), so a state kept alive only by a floor scores exp(floor) ~ 1e-300
+# or 1e-304 and vanishes next to any real support after normalization.
+# LOG_FLOOR caps log-likelihoods inside mean-field messages, so a factor still
+# uncertain about its peers cannot annihilate a state that some peer
+# configuration supports. LOG_EVIDENCE_FLOOR caps the log-evidence an agent
+# sends, since wire vectors must stay finite.
 LOG_FLOOR = -690.0
+LOG_EVIDENCE_FLOOR = -700.0
 
-# Mass below this after the sweeps is either floor residue (a zero config
-# entered with weight >= 1/2 scores at most exp(LOG_FLOOR/2) ~ 1e-150) or a
-# genuine posterior probability so small that dropping it is far inside every
-# tolerance; snap it to an exact zero so downstream KL terms see true support.
+# Mass below this after normalization is either floor residue (a floored entry
+# that enters with weight >= 1/2 scores at most exp(floor / 2) ~ 1e-150) or a
+# genuine probability so small that dropping it is far inside every tolerance;
+# snap() returns it to an exact zero so downstream KL terms see true support.
 SNAP_EPS = 1e-150
+
+
+def snap(probs: np.ndarray) -> np.ndarray:
+    """Zero every entry below SNAP_EPS, then renormalize."""
+    probs = np.where(probs < SNAP_EPS, 0.0, probs)
+    return probs / probs.sum()
 
 
 class TooLargeError(ValueError):
@@ -220,9 +231,7 @@ def infer_states(
         residual = worst
         if residual < tol:
             break
-    qs = [np.where(q < SNAP_EPS, 0.0, q) for q in qs]
-    qs = [q / q.sum() for q in qs]
-    belief = BeliefState(tuple(Categorical(q) for q in qs))
+    belief = BeliefState(tuple(Categorical(snap(q)) for q in qs))
     return MeanFieldResult(
         belief=belief,
         converged=residual < tol,
@@ -250,12 +259,6 @@ def update_likelihood_counts(
     return DirichletCounts(new)
 
 
-def expected_likelihood(counts: DirichletCounts) -> np.ndarray:
-    """Posterior-mean likelihood tensor: counts normalized over the outcome axis."""
-    c = counts.counts
-    return c / c.sum(axis=0, keepdims=True)
-
-
 def update_transition_counts(
     counts: DirichletCounts,
     q_prev: Categorical,
@@ -278,8 +281,9 @@ def update_transition_counts(
     return DirichletCounts(new)
 
 
-def expected_transition(counts: DirichletCounts) -> np.ndarray:
-    """Posterior-mean transition tensor: counts normalized over the next-state axis."""
+def dirichlet_mean(counts: DirichletCounts) -> np.ndarray:
+    """Posterior-mean likelihood or transition tensor: counts normalized over
+    axis 0 (outcomes, or next states)."""
     c = counts.counts
     return c / c.sum(axis=0, keepdims=True)
 

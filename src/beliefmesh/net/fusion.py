@@ -12,7 +12,15 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from ..core import Categorical, DimMismatchError, entropy, kl_divergence, log_stable, normalized_exp
+from ..core import (
+    Categorical,
+    DimMismatchError,
+    conditional_entropies,
+    entropy,
+    kl_divergence,  # noqa: F401 -- unused; perfbench/tracer.py patches net.fusion.kl_divergence
+    log_stable,
+    normalized_exp,
+)
 from .messages import BeliefMessage
 
 
@@ -63,27 +71,10 @@ def _check_source_likelihood(belief: Categorical, likelihood) -> np.ndarray:
 
 def expected_info_gain_of_source(belief: Categorical, source_likelihood) -> float:
     """Mutual information between the shared factor and the source's outcome:
-    sum_o q(o) KL[q(s|o) || q(s)]."""
+    H[q(o)] - E_q[H[p(o|s)]]."""
     lk = _check_source_likelihood(belief, source_likelihood)
-    q_o = lk @ belief.probs
-    gain = 0.0
-    for o in range(lk.shape[0]):
-        if q_o[o] <= 0:
-            continue
-        posterior = lk[o] * belief.probs / q_o[o]
-        gain += q_o[o] * kl_divergence(posterior, belief.probs)
-    return max(0.0, float(gain))
-
-
-def info_gain_via_entropies(belief: Categorical, source_likelihood) -> float:
-    """Second route to the same quantity: H[q(o)] - E_s[H[p(o|s)]]."""
-    lk = _check_source_likelihood(belief, source_likelihood)
-    q_o = lk @ belief.probs
-    conditional = sum(
-        belief.probs[s] * entropy(Categorical(lk[:, s] / lk[:, s].sum()).probs)
-        for s in range(belief.dim)
-    )
-    return float(entropy(q_o) - conditional)
+    gain = entropy(lk @ belief.probs) - float(belief.probs @ conditional_entropies(lk))
+    return max(0.0, gain)
 
 
 def select_sources(

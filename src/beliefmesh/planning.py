@@ -20,13 +20,13 @@ from .core import (
     DimMismatchError,
     GenerativeModel,
     Policy,
+    conditional_entropies,
+    entropy,
     kl_divergence,
     log_stable,
     normalized_exp,
 )
 from .inference import _expected_joint
-
-JOINT_INFO_GAIN_LIMIT = 4096
 
 DEFAULT_GAMMA = 16.0
 DEFAULT_DEPTH = 2
@@ -53,19 +53,13 @@ class BudgetExceededError(RuntimeError):
 @dataclass(frozen=True)
 class EFEReport:
     """Two decompositions of one quantity:
-    G == risk + ambiguity == -info_gain - pragmatic.
-
-    approximate is set when info_gain fell back to the per-factor
-    approximation (joint state space too large); only then may the second
-    identity drift.
-    """
+    G == risk + ambiguity == -info_gain - pragmatic."""
 
     G: float
     risk: float
     ambiguity: float
     info_gain: float
     pragmatic: float
-    approximate: bool = False
 
 
 @dataclass(frozen=True)
@@ -113,54 +107,17 @@ def predictive_observations(m: GenerativeModel, q: BeliefState) -> list[Categori
     ]
 
 
-def _conditional_entropies(a: np.ndarray) -> np.ndarray:
-    """H[p(o|s)] per joint state; shape = factor_dims."""
-    logs = np.where(a > 0, log_stable(a), 0.0)
-    return -(a * logs).sum(axis=0)
-
-
-def _info_gain_joint(w: np.ndarray, a: np.ndarray, q_o: np.ndarray) -> float:
-    """Bayes-route mutual information on the enumerated joint state."""
-    flat_w = w.reshape(-1)
-    gain = 0.0
-    for o in range(a.shape[0]):
-        if q_o[o] <= 0:
-            continue
-        post = (flat_w * a[o].reshape(-1)) / q_o[o]
-        gain += q_o[o] * kl_divergence(post, flat_w)
-    return gain
-
-
-def _info_gain_factored(qs: list[np.ndarray], a: np.ndarray, q_o: np.ndarray) -> float:
-    """Per-factor approximation: each factor's posterior updated with the
-    other factors held at their marginals; undercounts joint correlations."""
-    F = len(qs)
-    gain = 0.0
-    for f in range(F):
-        others = [qs[g] for g in range(F) if g != f]
-        for o in range(a.shape[0]):
-            if q_o[o] <= 0:
-                continue
-            lf = np.moveaxis(a[o], f, 0)
-            for qg in others:
-                lf = np.tensordot(lf, qg, axes=(1, 0))
-            post = qs[f] * lf
-            total = post.sum()
-            if total <= 0:
-                continue
-            gain += q_o[o] * kl_divergence(post / total, qs[f])
-    return gain
-
-
 def expected_free_energy(
     m: GenerativeModel, belief: BeliefState, policy: Policy
 ) -> EFEReport:
     """Sum over policy timesteps and modalities of risk, ambiguity,
-    information gain (exact Bayes on the joint state when affordable), and
-    pragmatic value."""
+    information gain and pragmatic value.
+
+    The information gain is the mutual information between states and
+    outcomes, H[q(o)] - E_q[H[p(o|s)]]: the entropy of the predicted outcome
+    less the ambiguity, both already needed for risk and ambiguity.
+    """
     rollout = expected_states(m, belief, policy)
-    joint_size = int(np.prod(m.factor_dims))
-    exact = joint_size <= JOINT_INFO_GAIN_LIMIT
     preferred = [normalized_exp(c) for c in m.C]
 
     risk = ambiguity = info_gain = pragmatic = 0.0
@@ -169,20 +126,17 @@ def expected_free_energy(
         for mm, a in enumerate(m.A):
             axes_s = (list(range(1, a.ndim)), list(range(m.num_factors)))
             q_o = np.tensordot(a, w, axes=axes_s)
+            h = float((w * conditional_entropies(a)).sum())
             risk += kl_divergence(q_o, preferred[mm])
-            ambiguity += float((w * _conditional_entropies(a)).sum())
+            ambiguity += h
+            info_gain += entropy(q_o) - h
             pragmatic += float((q_o * np.log(preferred[mm])).sum())
-            if exact:
-                info_gain += _info_gain_joint(w, a, q_o)
-            else:
-                info_gain += _info_gain_factored(q_t.arrays(), a, q_o)
     return EFEReport(
         G=float(risk + ambiguity),
         risk=_clamp_nonneg(float(risk)),
         ambiguity=_clamp_nonneg(float(ambiguity)),
         info_gain=_clamp_nonneg(float(info_gain)),
         pragmatic=float(pragmatic),
-        approximate=not exact,
     )
 
 

@@ -9,6 +9,7 @@ were verified to clear each gate with margin before being committed.
 import numpy as np
 import pytest
 
+from info_gain_reference import policy_info_gain
 from modelgen import random_belief, random_model, random_observation
 from test_codec import random_message
 from test_factor_graph import oracle_marginals, random_tree_graph
@@ -27,9 +28,8 @@ from beliefmesh.envs import (
 from beliefmesh.factor_graph import Schedule, sum_product
 from beliefmesh.harness import run_collective, run_single_agent, write_logs
 from beliefmesh.inference import (
+    dirichlet_mean,
     exact_posterior,
-    expected_likelihood,
-    expected_transition,
     infer_states,
     update_likelihood_counts,
     update_transition_counts,
@@ -74,10 +74,12 @@ def test_criterion_1_vfe_bound_and_tightness():
 
 
 def test_criterion_2_decomposition_identities():
-    """F = complexity - accuracy; G = risk + ambiguity = -info_gain - pragmatic."""
+    """F = complexity - accuracy; G = risk + ambiguity = -info_gain - pragmatic,
+    with info_gain checked against the Bayes-route oracle."""
     rng = np.random.default_rng(202)
     worst_f = 0.0
     worst_g = 0.0
+    worst_ig = 0.0
     for _ in range(500):
         m = random_model(rng)
         obs = random_observation(rng, m)
@@ -90,7 +92,9 @@ def test_criterion_2_decomposition_identities():
         belief = random_belief(rng, m)
         policy = m.policies[int(rng.integers(len(m.policies)))]
         efe = expected_free_energy(m, belief, policy)
-        assert not efe.approximate
+        err_ig = abs(efe.info_gain - policy_info_gain(m, belief, policy))
+        assert err_ig < 1e-10
+        worst_ig = max(worst_ig, err_ig)
         err_g = max(
             abs(efe.G - (efe.risk + efe.ambiguity)),
             abs((efe.risk + efe.ambiguity) - (-efe.info_gain - efe.pragmatic)),
@@ -99,7 +103,7 @@ def test_criterion_2_decomposition_identities():
         worst_g = max(worst_g, err_g)
     print(
         f"ACCEPTANCE 2 PASS: 500 models, max |F-(cplx-acc)| {worst_f:.2e}, "
-        f"max decomposition gap {worst_g:.2e}"
+        f"max decomposition gap {worst_g:.2e}, max info_gain gap to oracle {worst_ig:.2e}"
     )
 
 
@@ -291,7 +295,7 @@ def test_criterion_8_learning_convergence():
         counts = update_likelihood_counts(
             counts, o, BeliefState((Categorical.delta(s, 2),))
         )
-    a_err = float(np.abs(expected_likelihood(counts) - true_a).sum(axis=0).max())
+    a_err = float(np.abs(dirichlet_mean(counts) - true_a).sum(axis=0).max())
     assert a_err <= 0.05
 
     true_b = rng.dirichlet(np.full(2, 0.5), size=(2, 1)).transpose(2, 0, 1)
@@ -302,7 +306,7 @@ def test_criterion_8_learning_convergence():
         bcounts = update_transition_counts(
             bcounts, Categorical.delta(s, 2), Categorical.delta(nxt, 2), 0
         )
-    b_err = float(np.abs(expected_transition(bcounts) - true_b).sum(axis=0).max())
+    b_err = float(np.abs(dirichlet_mean(bcounts) - true_b).sum(axis=0).max())
     assert b_err <= 0.05
     print(
         f"ACCEPTANCE 8 PASS: after 1000 updates, likelihood max column L1 "

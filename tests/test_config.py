@@ -126,6 +126,22 @@ class TestLoadConfig:
         with pytest.raises(ConfigInvalidError, match="JSON"):
             load_config(path)
 
+    def test_load_rejects_missing_file(self, tmp_path):
+        with pytest.raises(ConfigInvalidError, match="cannot read"):
+            load_config(tmp_path / "absent.json")
+
+    def test_load_rejects_undecodable_file(self, tmp_path):
+        path = tmp_path / "exp.json"
+        path.write_bytes(b"\xff\xfe{}")
+        with pytest.raises(ConfigInvalidError, match="cannot read"):
+            load_config(path)
+
+    def test_load_rejects_non_object(self, tmp_path):
+        path = tmp_path / "exp.json"
+        path.write_text("[1, 2]")
+        with pytest.raises(ConfigInvalidError, match="JSON object"):
+            load_config(path)
+
     def test_load_rejects_unknown_keys(self, tmp_path):
         path = tmp_path / "exp.json"
         path.write_text(json.dumps({"scenario": "tmaze", "font": "comic sans"}))

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from beliefmesh.core import Categorical, DimMismatchError, GenerativeModel, Policy
+from beliefmesh.envs import build_elephant_model
 from beliefmesh.inference import exact_posterior
 from beliefmesh.net import (
     BeliefMessage,
@@ -15,7 +16,7 @@ from beliefmesh.net import (
     fuse_evidence,
     select_sources,
 )
-from beliefmesh.net.fusion import info_gain_via_entropies
+from info_gain_reference import source_info_gain
 
 
 def msg(log_evidence, precision=1.0, who="x"):
@@ -183,9 +184,9 @@ class TestExpectedInfoGain:
             d = int(rng.integers(2, 5))
             belief = Categorical(rng.dirichlet(np.ones(d)))
             lk = random_likelihood(rng, int(rng.integers(2, 5)), d)
-            bayes = expected_info_gain_of_source(belief, lk)
-            entropic = info_gain_via_entropies(belief, lk)
-            assert bayes == pytest.approx(entropic, abs=1e-10)
+            entropic = expected_info_gain_of_source(belief, lk)
+            bayes = source_info_gain(belief, lk)
+            assert entropic == pytest.approx(bayes, abs=1e-10)
 
     def test_rejects_non_stochastic_columns(self):
         with pytest.raises(ValueError):
@@ -210,6 +211,18 @@ class TestSelectSources:
         sources = [(1, noisy), (2, np.eye(2)), (3, np.full((2, 2), 0.5))]
         assert select_sources(Categorical.uniform(2), sources, k=3) == [2, 1, 3]
 
+    @pytest.mark.parametrize("low, high", [(1, 0), (0, 1), (1, 2), (2, 1)])
+    def test_equal_gain_elephant_sources_tie_to_lower_id(self, low, high):
+        # at a uniform belief the location-1 source and the location-0/2
+        # sources are equally informative, so the lower id must win
+        def source(loc):
+            return build_elephant_model(loc).A[0][:, :, loc]
+
+        sources = [(1, source(low)), (2, source(high))]
+        gains = [expected_info_gain_of_source(Categorical.uniform(3), lk) for _, lk in sources]
+        assert gains[0] == gains[1]
+        assert select_sources(Categorical.uniform(3), sources, k=1) == [1]
+
     def test_k_too_large(self):
         with pytest.raises(KTooLargeError):
             select_sources(Categorical.uniform(2), [(1, np.eye(2))], k=2)
@@ -225,6 +238,6 @@ class TestSelectSources:
             ]
             k = int(rng.integers(1, len(sources) + 1))
             got = select_sources(belief, sources, k)
-            gains = {i: info_gain_via_entropies(belief, lk) for i, lk in sources}
+            gains = {i: source_info_gain(belief, lk) for i, lk in sources}
             want = sorted(gains, key=lambda i: (-gains[i], i))[:k]
             assert got == want

@@ -12,9 +12,8 @@ from beliefmesh.inference import (
     TooLargeError,
     ZeroEvidenceError,
     compare_models,
+    dirichlet_mean,
     exact_posterior,
-    expected_likelihood,
-    expected_transition,
     infer_states,
     update_likelihood_counts,
     update_transition_counts,
@@ -268,7 +267,7 @@ class TestLikelihoodLearning:
 
     def test_expected_likelihood_normalizes_outcome_axis(self):
         counts = DirichletCounts(np.array([[1.9, 1.1], [1.0, 1.0]]))
-        a_hat = expected_likelihood(counts)
+        a_hat = dirichlet_mean(counts)
         assert a_hat[0, 0] == pytest.approx(1.9 / 2.9, abs=1e-12)
         np.testing.assert_allclose(a_hat.sum(axis=0), 1.0)
 
@@ -282,7 +281,7 @@ class TestLikelihoodLearning:
         for _ in range(1000):
             o = int(rng.choice(2, p=true_a[:, 0]))
             counts = update_likelihood_counts(counts, o, q)
-        assert expected_likelihood(counts)[0, 0] == pytest.approx(0.9, abs=0.05)
+        assert dirichlet_mean(counts)[0, 0] == pytest.approx(0.9, abs=0.05)
 
     def test_shape_mismatch(self):
         from beliefmesh.core import BeliefState
@@ -318,7 +317,7 @@ class TestTransitionLearning:
                 counts, Categorical.delta(state, 2), Categorical.delta(nxt, 2), 0
             )
             state = nxt
-        b_hat = expected_transition(counts)[:, :, 0]
+        b_hat = dirichlet_mean(counts)[:, :, 0]
         np.testing.assert_allclose(b_hat, [[0.0, 1.0], [1.0, 0.0]], atol=0.05)
 
     def test_control_out_of_range(self):

@@ -26,6 +26,7 @@ from beliefmesh.planning import (
     select_action,
     sophisticated_root_values,
 )
+from info_gain_reference import policy_info_gain
 from modelgen import random_belief, random_model, random_observation
 
 
@@ -133,12 +134,27 @@ class TestExpectedFreeEnergy:
             b = random_belief(rng, m)
             pol = m.policies[int(rng.integers(len(m.policies)))]
             r = expected_free_energy(m, b, pol)
-            assert not r.approximate
+            assert abs(r.info_gain - policy_info_gain(m, b, pol)) < 1e-10
             assert r.G - (r.risk + r.ambiguity) == pytest.approx(0.0, abs=1e-10)
             assert r.G - (-r.info_gain - r.pragmatic) == pytest.approx(0.0, abs=1e-10)
             assert r.info_gain >= 0.0
             assert r.ambiguity >= 0.0
             assert r.risk >= 0.0
+
+    def test_info_gain_exact_on_large_joint_state_spaces(self):
+        # three factors and more than 4096 joint states: the gain must stay
+        # exact however large the joint state space grows
+        rng = np.random.default_rng(43)
+        checked = 0
+        while checked < 12:
+            m = random_model(rng, num_factors=3, max_states=30)
+            if int(np.prod(m.factor_dims)) <= 4096:
+                continue
+            b = random_belief(rng, m)
+            pol = m.policies[int(rng.integers(len(m.policies)))]
+            r = expected_free_energy(m, b, pol)
+            assert abs(r.info_gain - policy_info_gain(m, b, pol)) < 1e-10
+            checked += 1
 
     def test_deterministic_a_has_zero_ambiguity(self):
         rng = np.random.default_rng(31)
