@@ -184,10 +184,6 @@ def shared_factor_registry() -> SharedFactorRegistry:
     return registry
 
 
-def _sender_index(msg: BeliefMessage) -> int:
-    return int(msg.origin.segments[-1].rsplit("-", 1)[-1])
-
-
 def run_collective(
     cfg: ExperimentConfig,
     true_what: int = ELEPHANT,
@@ -207,6 +203,7 @@ def run_collective(
         raise ValueError(f"{len(locations)} locations for {n} agents")
     registry = shared_factor_registry()
     ref_prior = registry.get(WHAT_FACTOR_ID).reference_prior
+    addresses = [SpatialAddress(("room", f"agent-{i}")) for i in range(n)]
     models = [build_elephant_model(locations[i], noise=cfg.noise) for i in range(n)]
     envs = [ElephantRoomEnv(locations[i], true_what=true_what, noise=cfg.noise) for i in range(n)]
 
@@ -239,7 +236,7 @@ def run_collective(
                 for i in range(n):
                     endpoints[i].send(
                         BeliefMessage(
-                            origin=SpatialAddress(("room", f"agent-{i}")),
+                            origin=addresses[i],
                             factor_id=WHAT_FACTOR_ID,
                             log_evidence=cumulative[i],
                             precision=1.0,
@@ -257,7 +254,7 @@ def run_collective(
                 )
                 if cfg.share:
                     fresh = {
-                        _sender_index(msg): msg
+                        msg.origin: msg
                         for msg in inboxes[i]
                         if msg.factor_id == WHAT_FACTOR_ID and msg.timestamp == t
                     }
@@ -265,7 +262,8 @@ def run_collective(
                         (j, models[j].A[0][:, :, locations[j]]) for j in range(n) if j != i
                     ]
                     chosen = select_sources(own_only, sources, min(cfg.resolved_k(), n - 1))
-                    selected = [fresh[j] for j in sorted(chosen) if j in fresh]
+                    picked = [addresses[j] for j in sorted(chosen)]
+                    selected = [fresh[a] for a in picked if a in fresh]
                     posterior = fuse_evidence(ref_prior, selected, own_log_evidence=cumulative[i])
                 else:
                     posterior = own_only

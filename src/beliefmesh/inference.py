@@ -131,16 +131,19 @@ def exact_posterior(
     if evidence <= 0.0:
         raise ZeroEvidenceError(f"observation {tuple(obs)} has zero probability")
     joint /= evidence
-    marginals = []
-    for f in range(m.num_factors):
-        axes = tuple(a for a in range(m.num_factors) if a != f)
-        marginals.append(Categorical(joint.sum(axis=axes) if axes else joint))
-    return BeliefState(tuple(marginals)), float(np.log(evidence))
+    return BeliefState(tuple(map(Categorical, _marginals(joint)))), float(np.log(evidence))
 
 
 def _expected_joint(qs: Sequence[np.ndarray]) -> np.ndarray:
     """Joint state weights prod_f q_f(s_f), shape = the factors' dims."""
     return reduce(np.multiply.outer, qs)
+
+
+def _marginals(joint: np.ndarray, batch: int = 0) -> list[np.ndarray]:
+    """Per-factor marginals of a joint whose first `batch` axes index separate
+    joints (the inverse of _expected_joint); each keeps those batch axes."""
+    F = joint.ndim - batch
+    return [joint.sum(axis=tuple(batch + g for g in range(F) if g != f)) for f in range(F)]
 
 
 def _masked_expectation(weights: np.ndarray, log_tensor: np.ndarray) -> float:

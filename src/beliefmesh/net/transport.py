@@ -6,10 +6,11 @@ in-memory bus is for single-process runs and tests; the socket hub speaks
 u32-little-endian length-prefixed frames over TCP and rebroadcasts each
 frame to all other connections.
 
-Before any frame flows, the hub writes one HANDSHAKE_ACK byte to each new
-connection, once that connection is registered for relaying; the endpoint
-waits for it, so a frame sent after connecting reaches every endpoint that
-connected before.
+The socket side runs one thread, the hub's selector loop, which never
+blocks on a send. A new connection's output buffer starts out holding
+HANDSHAKE_ACK, ahead of any relayed frame; the endpoint waits for that byte,
+so a frame sent after connecting reaches every endpoint that connected
+before. Endpoints start no thread: poll reads on the caller's thread.
 
 Decode failures on received frames never kill the stream: the bad frame is
 recorded on the endpoint's decode_errors list and later frames still arrive.
@@ -17,8 +18,7 @@ recorded on the endpoint's decode_errors list and later frames still arrive.
 
 from __future__ import annotations
 
-import contextlib
-import queue
+import selectors
 import socket
 import struct
 import threading
@@ -31,6 +31,7 @@ from .messages import BeliefMessage
 FRAME_LIMIT = 2**20
 HANDSHAKE_ACK = b"\x06"
 HANDSHAKE_TIMEOUT = 10.0
+RECV_SIZE = 2**16
 
 
 class ClosedError(RuntimeError):
@@ -39,6 +40,48 @@ class ClosedError(RuntimeError):
 
 class FrameTooLargeError(ValueError):
     """Frame exceeds the 2^20-byte limit; the connection is dropped."""
+
+
+def _check_open(ep) -> None:
+    if not ep._open:
+        raise ClosedError(f"endpoint {ep.name} is closed")
+
+
+def _encode(ep, msg: BeliefMessage) -> bytes:
+    """The codec frame for msg; one over FRAME_LIMIT closes ep and raises."""
+    frame = encode_message(msg)
+    if len(frame) > FRAME_LIMIT:
+        ep.close()
+        raise FrameTooLargeError(f"{len(frame)} bytes exceeds {FRAME_LIMIT}")
+    return frame
+
+
+def _decode(ep, frames: deque[bytes], out: list[BeliefMessage], expect: int | None = None):
+    """Decode queued frames into out until it holds expect messages (all of
+    them without expect) and return it; bad frames go to ep.decode_errors."""
+    while frames and (expect is None or len(out) < expect):
+        try:
+            out.append(decode_message(frames.popleft()))
+        except DecodeError as exc:
+            ep.decode_errors.append(exc)
+    return out
+
+
+def _take_frames(buf: bytearray) -> tuple[list[bytes], FrameTooLargeError | None]:
+    """Cut the complete length-prefixed frames off the front of buf; return
+    their payloads and, if a header announces more than FRAME_LIMIT bytes,
+    the error, at which the split stops."""
+    frames, pos, error = [], 0, None
+    while len(buf) >= pos + 4:
+        (length,) = struct.unpack_from("<I", buf, pos)
+        if length > FRAME_LIMIT:
+            error = FrameTooLargeError(f"incoming frame of {length} bytes")
+        if error or len(buf) < pos + 4 + length:
+            break
+        frames.append(bytes(buf[pos + 4 : pos + 4 + length]))
+        pos += 4 + length
+    del buf[:pos]
+    return frames, error
 
 
 class MemoryEndpoint:
@@ -50,32 +93,18 @@ class MemoryEndpoint:
         self.decode_errors: list[DecodeError] = []
 
     def send(self, msg: BeliefMessage) -> None:
-        if not self._open:
-            raise ClosedError(f"endpoint {self.name} is closed")
-        frame = encode_message(msg)
-        if len(frame) > FRAME_LIMIT:
-            self._open = False
-            raise FrameTooLargeError(f"{len(frame)} bytes exceeds {FRAME_LIMIT}")
-        self._bus._deliver(self, frame)
+        _check_open(self)
+        self.send_raw(_encode(self, msg))
 
     def send_raw(self, frame: bytes) -> None:
         """Fault injection: put arbitrary bytes on the bus."""
-        if not self._open:
-            raise ClosedError(f"endpoint {self.name} is closed")
+        _check_open(self)
         self._bus._deliver(self, bytes(frame))
 
     def poll(self, expect: int | None = None, timeout: float = 1.0) -> list[BeliefMessage]:
-        if not self._open:
-            raise ClosedError(f"endpoint {self.name} is closed")
-        out = []
+        _check_open(self)
         with self._bus._lock:
-            while self._inbox:
-                frame = self._inbox.popleft()
-                try:
-                    out.append(decode_message(frame))
-                except DecodeError as exc:
-                    self.decode_errors.append(exc)
-        return out
+            return _decode(self, self._inbox, [])
 
     def close(self) -> None:
         self._open = False
@@ -106,209 +135,179 @@ class MemoryBus:
                 ep._open = False
 
 
-def _shutdown_close(sock: socket.socket) -> None:
-    """Close a socket so that a thread blocked in its accept or recv returns;
-    close() alone does not wake it."""
-    with contextlib.suppress(OSError):  # never connected, or already closed
-        sock.shutdown(socket.SHUT_RDWR)
-    with contextlib.suppress(OSError):
-        sock.close()
-
-
-def _read_exact(sock: socket.socket, n: int) -> bytes | None:
-    buf = bytearray()
-    while len(buf) < n:
-        try:
-            chunk = sock.recv(n - len(buf))
-        except OSError:
-            # peer reset, or our own close() raced the blocking recv
-            return None
-        if not chunk:
-            return None
-        buf += chunk
-    return bytes(buf)
-
-
 class SocketHub:
-    """Accepts TCP connections and rebroadcasts every frame to the others.
-
-    A connection announcing a frame larger than FRAME_LIMIT is dropped on
-    the spot; everyone else keeps talking. Each accepted connection gets
-    HANDSHAKE_ACK once it is registered, ahead of any relayed frame.
-    """
+    """Accepts TCP connections and rebroadcasts every frame to the others on
+    one selector thread. A connection announcing a frame larger than
+    FRAME_LIMIT is dropped on the spot; everyone else keeps talking."""
 
     def __init__(self, host: str = "127.0.0.1", port: int = 0):
-        self._server = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        self._server.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        self._server.bind((host, port))
-        self._server.listen()
+        self._server = socket.create_server((host, port))  # with SO_REUSEADDR
+        self._server.setblocking(False)
         self.address = self._server.getsockname()
-        self._conns: list[socket.socket] = []
-        self._send_locks: dict[socket.socket, threading.Lock] = {}
-        self._lock = threading.Lock()
-        self._open = True
-        self._accept_thread = threading.Thread(target=self._accept_loop, daemon=True)
-        self._accept_thread.start()
+        self._wake, self._waker = socket.socketpair()
+        self._selector = selectors.DefaultSelector()
+        self._selector.register(self._server, selectors.EVENT_READ)
+        self._selector.register(self._wake, selectors.EVENT_READ)
+        self._inbufs: dict[socket.socket, bytearray] = {}
+        self._outbufs: dict[socket.socket, bytearray] = {}
+        self._thread = threading.Thread(target=self._loop, daemon=True)
+        self._thread.start()
 
-    def _accept_loop(self):
-        while self._open:
-            try:
-                conn, _ = self._server.accept()
-            except OSError:
-                return
-            conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            send_lock = threading.Lock()
-            # hold the send lock from registration until the ack is out, so
-            # no relayed frame can overtake it
-            with send_lock:
-                with self._lock:
-                    self._conns.append(conn)
-                    self._send_locks[conn] = send_lock
-                try:
-                    conn.sendall(HANDSHAKE_ACK)
-                except OSError:
-                    self._drop(conn)
-                    continue
-            threading.Thread(target=self._reader_loop, args=(conn,), daemon=True).start()
+    def _loop(self):
+        try:
+            while True:
+                for key, events in self._selector.select():
+                    sock = key.fileobj
+                    if sock is self._wake:
+                        return
+                    if sock is self._server:
+                        self._accept()
+                    elif sock not in self._outbufs:
+                        continue  # dropped earlier in this batch
+                    elif events & selectors.EVENT_WRITE:
+                        self._send(sock)  # a read, if also due, comes next round
+                    else:
+                        self._receive(sock)
+        finally:
+            for conn in list(self._outbufs):
+                self._drop(conn)
+            for resource in (self._selector, self._server, self._wake, self._waker):
+                resource.close()
 
-    def _reader_loop(self, conn: socket.socket):
-        while True:
-            header = _read_exact(conn, 4)
-            if header is None:
-                break
-            (length,) = struct.unpack("<I", header)
-            if length > FRAME_LIMIT:
-                break  # protocol violation: drop this connection
-            payload = _read_exact(conn, length)
-            if payload is None:
-                break
-            self._relay(conn, header + payload)
-        self._drop(conn)
+    def _accept(self):
+        try:
+            conn, _ = self._server.accept()
+        except OSError:  # the client gave up before we got to it
+            return
+        conn.setblocking(False)
+        conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        self._inbufs[conn] = bytearray()
+        self._outbufs[conn] = bytearray(HANDSHAKE_ACK)
+        self._selector.register(conn, selectors.EVENT_READ)
+        self._send(conn)
 
-    def _relay(self, sender: socket.socket, framed: bytes):
-        with self._lock:
-            targets = [c for c in self._conns if c is not sender]
-            locks = [self._send_locks[c] for c in targets]
-        for target, lock in zip(targets, locks):
-            try:
-                with lock:
-                    target.sendall(framed)
-            except OSError:
-                self._drop(target)
+    def _receive(self, conn: socket.socket):
+        try:
+            chunk = conn.recv(RECV_SIZE)
+        except BlockingIOError:
+            return
+        except OSError:  # reset by the peer
+            chunk = b""
+        self._inbufs[conn] += chunk
+        frames, error = _take_frames(self._inbufs[conn])
+        for payload in frames:
+            framed = struct.pack("<I", len(payload)) + payload
+            for target in list(self._outbufs):
+                if target is not conn:
+                    self._outbufs[target] += framed
+                    self._send(target)
+        if error is not None or not chunk:
+            self._drop(conn)
+
+    def _send(self, conn: socket.socket):
+        """Send what the socket takes now; await EVENT_WRITE while bytes remain."""
+        out = self._outbufs[conn]
+        try:
+            del out[: conn.send(out)]
+        except BlockingIOError:
+            pass
+        except OSError:
+            self._drop(conn)
+            return
+        events = selectors.EVENT_READ | (selectors.EVENT_WRITE if out else 0)
+        if self._selector.get_key(conn).events != events:
+            self._selector.modify(conn, events)
 
     def _drop(self, conn: socket.socket):
-        with self._lock:
-            if conn in self._conns:
-                self._conns.remove(conn)
-                self._send_locks.pop(conn, None)
-        _shutdown_close(conn)
+        if conn in self._outbufs:
+            del self._inbufs[conn], self._outbufs[conn]
+            self._selector.unregister(conn)
+            conn.close()
 
     def close(self):
-        self._open = False
-        _shutdown_close(self._server)
-        with self._lock:
-            conns = list(self._conns)
-        for conn in conns:
-            self._drop(conn)
+        if self._thread.is_alive():
+            self._waker.send(b"\0")
+            self._thread.join()
 
 
 class SocketEndpoint:
-    """A hub connection; returns only once the hub will relay frames to this
-    endpoint.
-
-    The constructor waits up to HANDSHAKE_TIMEOUT seconds for the hub's
-    HANDSHAKE_ACK. If it is missing or wrong, the socket is closed and
-    ClosedError is raised.
-    """
+    """A hub connection. The constructor waits up to HANDSHAKE_TIMEOUT seconds
+    for the hub's HANDSHAKE_ACK; if it is missing or wrong, the socket is
+    closed and ClosedError is raised."""
 
     def __init__(self, address: tuple[str, int], name: str = ""):
         self.name = name
         self._sock = socket.create_connection(address, timeout=HANDSHAKE_TIMEOUT)
-        ack = _read_exact(self._sock, len(HANDSHAKE_ACK))
+        try:
+            ack = self._sock.recv(len(HANDSHAKE_ACK))
+        except OSError:  # timed out or reset
+            ack = b""
         if ack != HANDSHAKE_ACK:
             self._sock.close()
-            reason = "no acknowledgement" if ack is None else f"bad acknowledgement {ack!r}"
+            reason = "no acknowledgement" if not ack else f"bad acknowledgement {ack!r}"
             raise ClosedError(f"endpoint {name}: hub at {address} sent {reason}")
         self._sock.settimeout(None)
         self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        self._frames: queue.Queue[bytes] = queue.Queue()
+        self._inbuf = bytearray()
+        self._frames: deque[bytes] = deque()
         self._open = True
         self.decode_errors: list[DecodeError] = []
-        self._reader = threading.Thread(target=self._reader_loop, daemon=True)
-        self._reader.start()
-
-    def _reader_loop(self):
-        while True:
-            header = _read_exact(self._sock, 4)
-            if header is None:
-                break
-            (length,) = struct.unpack("<I", header)
-            if length > FRAME_LIMIT:
-                self.decode_errors.append(
-                    FrameTooLargeError(f"incoming frame of {length} bytes")
-                )
-                break
-            payload = _read_exact(self._sock, length)
-            if payload is None:
-                break
-            self._frames.put(payload)
-        # hub went away or dropped us: release the fd instead of leaving it to GC
-        self._open = False
-        _shutdown_close(self._sock)
 
     def send(self, msg: BeliefMessage) -> None:
-        if not self._open:
-            raise ClosedError(f"endpoint {self.name} is closed")
-        frame = encode_message(msg)
-        if len(frame) > FRAME_LIMIT:
-            self.close()
-            raise FrameTooLargeError(f"{len(frame)} bytes exceeds {FRAME_LIMIT}")
-        self._sock.sendall(struct.pack("<I", len(frame)) + frame)
+        _check_open(self)
+        self.send_raw(_encode(self, msg))
 
     def send_raw(self, frame: bytes) -> None:
-        if not self._open:
-            raise ClosedError(f"endpoint {self.name} is closed")
-        self._sock.sendall(struct.pack("<I", len(frame)) + bytes(frame))
-
-    def _decode_into(self, out: list[BeliefMessage], frame: bytes) -> None:
+        _check_open(self)
         try:
-            out.append(decode_message(frame))
-        except DecodeError as exc:
-            self.decode_errors.append(exc)
+            self._sock.sendall(struct.pack("<I", len(frame)) + bytes(frame))
+        except OSError as exc:  # the hub went away
+            self.close()
+            raise ClosedError(f"endpoint {self.name}: connection to the hub lost") from exc
+
+    def _receive(self, timeout: float) -> bool:
+        """Queue the complete frames that arrive within timeout seconds; False if
+        none came. End of stream or an oversized header closes the endpoint."""
+        # the socket's own timeout waits in poll(2), free of select's fd limit
+        self._sock.settimeout(timeout)
+        try:
+            chunk = self._sock.recv(RECV_SIZE)
+        except (BlockingIOError, TimeoutError):
+            return False
+        except OSError:  # reset by the hub
+            chunk = b""
+        finally:
+            self._sock.settimeout(None)
+        self._inbuf += chunk
+        frames, error = _take_frames(self._inbuf)
+        self._frames.extend(frames)
+        if error is not None:
+            self.decode_errors.append(error)
+        if error is not None or not chunk:
+            self.close()
+        return True
 
     def poll(self, expect: int | None = None, timeout: float = 5.0) -> list[BeliefMessage]:
         """Without expect: drain whatever has arrived. With expect: block until
-        that many valid messages arrive or the timeout runs out."""
-        if not self._open:
-            raise ClosedError(f"endpoint {self.name} is closed")
+        that many valid messages arrive, the timeout runs out or the hub goes
+        away; later frames stay queued for the next poll."""
+        _check_open(self)
         out: list[BeliefMessage] = []
-        if expect is None:
-            while True:
-                try:
-                    frame = self._frames.get_nowait()
-                except queue.Empty:
-                    break
-                self._decode_into(out, frame)
-            return out
         deadline = time.monotonic() + timeout
-        while len(out) < expect:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                break
-            try:
-                frame = self._frames.get(timeout=remaining)
-            except queue.Empty:
-                break
-            self._decode_into(out, frame)
-        return out
+        while True:
+            _decode(self, self._frames, out, expect)
+            if not self._open or (expect is not None and len(out) >= expect):
+                return out
+            wait = 0.0 if expect is None else deadline - time.monotonic()
+            if (expect is not None and wait <= 0) or not self._receive(wait):
+                return out
 
     def close(self) -> None:
         self._open = False
-        _shutdown_close(self._sock)
+        self._sock.close()
 
 
 def connect_socket_endpoint(address: tuple[str, int], name: str = "") -> SocketEndpoint:
     """Connect to a SocketHub; returns only once the hub will relay frames to
-    this endpoint. Raises ClosedError if the hub's acknowledgement does not
-    arrive within HANDSHAKE_TIMEOUT seconds or is wrong."""
+    this endpoint (see SocketEndpoint)."""
     return SocketEndpoint(address, name)

@@ -26,7 +26,7 @@ from .core import (
     log_stable,
     normalized_exp,
 )
-from .inference import _expected_joint
+from .inference import _expected_joint, _marginals
 
 DEFAULT_GAMMA = 16.0
 DEFAULT_DEPTH = 2
@@ -182,7 +182,6 @@ def _posterior_branches(
     Branches under the threshold are dropped and the rest renormalized; if
     nothing survives, the single most probable branch is kept.
     """
-    F = m.num_factors
     like = m.A[0]
     for a in m.A[1:]:
         like = (like[:, None] * a[None]).reshape((-1,) + m.factor_dims)
@@ -194,8 +193,8 @@ def _posterior_branches(
     if not kept:
         kept = [int(np.argmax(p_o))]
     p = p_o[kept]
-    posterior = joint[kept] / p.reshape((-1,) + (1,) * F)
-    marginals = [posterior.sum(axis=tuple(g + 1 for g in range(F) if g != f)) for f in range(F)]
+    posterior = joint[kept] / p.reshape((-1,) + (1,) * m.num_factors)
+    marginals = _marginals(posterior, batch=1)
     weights = p.tolist()
     total = sum(weights)
     return [

@@ -1,6 +1,7 @@
 """Runner behavior: determinism, logged quantities, sharing effects, logs."""
 
 import csv
+import dataclasses
 import json
 import math
 
@@ -16,6 +17,7 @@ from beliefmesh.envs import (
     TMAZE_RIGHT,
     build_tmaze_model,
 )
+from beliefmesh import harness
 from beliefmesh.harness import (
     AgentTrajectory,
     RunResult,
@@ -28,6 +30,7 @@ from beliefmesh.harness import (
     synchrony,
     write_logs,
 )
+from beliefmesh.net import MemoryBus, SpatialAddress, decode_message, encode_message
 
 
 def tmaze_cfg(**kw):
@@ -211,6 +214,24 @@ class TestCollective:
                     np.testing.assert_array_equal(xa, xb)
         assert mem.extras["decode_errors"] == [0, 0, 0]
         assert sock.extras["decode_errors"] == [0, 0, 0]
+
+    def test_foreign_origin_is_ignored_and_the_run_finishes(self, tmp_path, monkeypatch):
+        class ForeignBus(MemoryBus):
+            """Delivers each frame, then a copy signed by room/agent-x."""
+
+            def _deliver(self, sender, frame):
+                super()._deliver(sender, frame)
+                stranger = SpatialAddress(("room", "agent-x"))
+                copy = dataclasses.replace(decode_message(frame), origin=stranger)
+                super()._deliver(sender, encode_message(copy))
+
+        cfg = elephant_cfg(noise=0.2, seed=11, steps=3)
+        write_logs(run_collective(cfg), tmp_path / "clean")
+        monkeypatch.setattr(harness, "MemoryBus", ForeignBus)
+        write_logs(run_collective(cfg), tmp_path / "foreign")
+        for name in ("agent0.csv", "agent1.csv", "agent2.csv", "manifest.json"):
+            clean = (tmp_path / "clean" / name).read_bytes()
+            assert (tmp_path / "foreign" / name).read_bytes() == clean
 
     def test_free_energy_is_finite_even_with_hard_zeros(self):
         for cfg in (elephant_cfg(), elephant_cfg(share=False)):

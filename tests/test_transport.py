@@ -3,6 +3,7 @@
 import socket
 import struct
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -159,8 +160,8 @@ class TestSocketHub:
             b.send(msg("b", 4))
             got = c.poll(expect=1, timeout=5.0)
             assert sender_ticks(got, "b") == [4]
-            b.close()
-            c.close()
+            for ep in (a, b, c):
+                ep.close()
         finally:
             hub.close()
 
@@ -168,11 +169,17 @@ class TestSocketHub:
         hub = SocketHub()
         try:
             a = connect_socket_endpoint(hub.address, "a")
-            # stall the hub's registration step; connecting must wait it out
-            hub._lock.acquire()
-            threading.Timer(0.3, hub._lock.release).start()
+            # stall the hub's accept step; connecting must wait it out
+            accept = hub._accept
+
+            def stalled_accept():
+                time.sleep(0.3)
+                accept()
+
+            hub._accept = stalled_accept
+            start = time.monotonic()
             b = connect_socket_endpoint(hub.address, "b")
-            assert len(hub._conns) == 2
+            assert time.monotonic() - start >= 0.3
             a.send(msg("a", 1))
             assert [m.timestamp for m in b.poll(expect=1, timeout=5.0)] == [1]
             a.close()
@@ -194,11 +201,55 @@ class TestSocketHub:
         hub = SocketHub()
         try:
             a = connect_socket_endpoint(hub.address, "a")
+            # a plain TCP client sees the ack byte, then u32 length + payload
+            with socket.create_connection(hub.address, timeout=5.0) as raw:
+                wire = raw.makefile("rb")
+                assert wire.read(1) == transport.HANDSHAKE_ACK
+                m = msg("a", 9)
+                a.send(m)
+                (length,) = struct.unpack("<I", wire.read(4))
+                assert wire.read(length) == encode_message(m)
+                wire.close()
+            a.close()
+        finally:
+            hub.close()
+
+    def test_poll_returns_as_soon_as_the_hub_closes(self):
+        hub = SocketHub()
+        a = connect_socket_endpoint(hub.address, "a")
+        timer = threading.Timer(0.2, hub.close)
+        timer.start()
+        try:
+            start = time.monotonic()
+            assert a.poll(expect=1, timeout=3.0) == []
+            assert time.monotonic() - start < 1.5
+            with pytest.raises(ClosedError):
+                a.send(msg("a", 1))
+        finally:
+            timer.join()
+            hub.close()
+
+    def test_send_to_a_vanished_hub_raises_closed_error(self):
+        hub = SocketHub()
+        a = connect_socket_endpoint(hub.address, "a")
+        hub.close()
+        with pytest.raises(ClosedError):
+            for tick in range(100):  # the first send may still fit in the socket buffer
+                a.send(msg("a", tick))
+                time.sleep(0.01)
+
+    def test_frames_larger_than_socket_buffers_sent_before_any_poll(self):
+        # one thread sends about 2 MB before the receiver reads a byte; the
+        # hub must buffer rather than block, or sender and hub would deadlock
+        hub = SocketHub()
+        try:
+            a = connect_socket_endpoint(hub.address, "a")
             b = connect_socket_endpoint(hub.address, "b")
-            m = msg("a", 9)
-            a.send(m)
-            raw = b._frames.get(timeout=5.0)
-            assert raw == encode_message(m)
+            rng = np.random.default_rng(0)
+            sent = [msg("a", t, rng.standard_normal(0xFFFF)) for t in range(4)]
+            for m in sent:
+                a.send(m)
+            assert b.poll(expect=4, timeout=10.0) == sent
             a.close()
             b.close()
         finally:
@@ -239,19 +290,16 @@ class TestSocketClose:
         start = threading.active_count()
         before = set(threading.enumerate())
         hub = SocketHub()
-        a = connect_socket_endpoint(hub.address, "a")
-        b = connect_socket_endpoint(hub.address, "b")
-        a.send(msg("a", 1))
-        b.send(msg("b", 2))
-        assert [m.timestamp for m in b.poll(expect=1, timeout=5.0)] == [1]
-        assert [m.timestamp for m in a.poll(expect=1, timeout=5.0)] == [2]
-        # the hub's accept thread and one reader per connection, on each side
-        started = set(threading.enumerate()) - before
-        assert len(started) == 5
-        a.close()
-        b.close()
+        eps = [connect_socket_endpoint(hub.address, name) for name in "abc"]
+        eps[0].send(msg("a", 1))
+        eps[1].send(msg("b", 2))
+        assert sorted(m.timestamp for m in eps[2].poll(expect=2, timeout=5.0)) == [1, 2]
+        # the hub's selector loop is the only transport thread
+        (loop,) = set(threading.enumerate()) - before
+        for ep in eps:
+            ep.close()
+        t0 = time.monotonic()
         hub.close()
-        for t in started:
-            t.join(2.0)
-            assert not t.is_alive(), t
+        assert time.monotonic() - t0 < 2.0
+        assert not loop.is_alive()
         assert threading.active_count() <= start
