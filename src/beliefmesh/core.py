@@ -139,17 +139,9 @@ class BeliefState:
     """Per-factor categorical posteriors held by one agent."""
 
     factors: tuple[Categorical, ...]
-    precisions: tuple[float, ...] | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "factors", tuple(self.factors))
-        if self.precisions is not None:
-            prec = tuple(float(g) for g in self.precisions)
-            if len(prec) != len(self.factors):
-                raise DimMismatchError("one precision per factor")
-            if any(g <= 0 for g in prec):
-                raise ValueError("precisions must be > 0")
-            object.__setattr__(self, "precisions", prec)
 
     @property
     def dims(self) -> tuple[int, ...]:

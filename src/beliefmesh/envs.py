@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import BeliefState, Categorical, GenerativeModel, Policy
+from .core import BeliefState, Categorical, GenerativeModel, Policy, log_stable
 
 # --- T-maze ------------------------------------------------------------------
 #
@@ -127,12 +127,16 @@ FEATURES = np.array(
 )
 
 
+def _check_location(location: int) -> None:
+    if not (0 <= location < NUM_LOCATIONS):
+        raise ValueError(f"location {location} outside [0, {NUM_LOCATIONS})")
+
+
 class ElephantRoomEnv:
     """Static scene observed from one location with confusion noise."""
 
     def __init__(self, location: int, true_what: int = ELEPHANT, noise: float = 0.1):
-        if not (0 <= location < NUM_LOCATIONS):
-            raise ValueError(f"location {location} outside [0, {NUM_LOCATIONS})")
+        _check_location(location)
         if not (0.0 <= noise <= 1.0):
             raise ValueError(f"noise must be in [0, 1], got {noise}")
         self.location = location
@@ -160,6 +164,7 @@ def build_elephant_model(location: int, noise: float = 0.1) -> GenerativeModel:
     """One agent's model: shared "what" factor, private "where" pinned to the
     agent's location; a binary feel modality and a deterministic location
     readout."""
+    _check_location(location)
     eps = float(noise)
     a_feel = np.zeros((2, 3, NUM_LOCATIONS))
     for loc in range(NUM_LOCATIONS):
@@ -186,8 +191,6 @@ def build_elephant_model(location: int, noise: float = 0.1) -> GenerativeModel:
 
 def feel_log_evidence(model: GenerativeModel, feel_obs: int, location: int) -> np.ndarray:
     """ln p(feel | what, where=location): the shareable evidence vector."""
-    from .core import log_stable
-
     return log_stable(model.A[0][int(feel_obs), :, int(location)])
 
 

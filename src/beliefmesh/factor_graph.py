@@ -15,6 +15,9 @@ import numpy as np
 
 from .core import Categorical, GenerativeModel, log_stable, normalized_exp
 
+# Weight of the old log-message in each damped flooding update.
+DAMPING = 0.5
+
 
 class GraphStructureError(ValueError):
     """Graph violates a structural invariant (ids, shapes, connectivity)."""
@@ -225,7 +228,7 @@ class FactorGraph:
         self._ran = True
         return 1
 
-    def run_flooding(self, max_iters: int, tol: float, damping: float = 0.5) -> tuple[bool, int]:
+    def run_flooding(self, max_iters: int, tol: float) -> tuple[bool, int]:
         edges = self._directed_edges()
         for src, dst in edges:
             card = self._vars[dst].cardinality if dst in self._vars else self._vars[src].cardinality
@@ -244,7 +247,7 @@ class FactorGraph:
             residual = 0.0
             for key, new in fresh.items():
                 mixed = normalized_exp(
-                    damping * log_stable(old[key]) + (1.0 - damping) * log_stable(new)
+                    DAMPING * log_stable(old[key]) + (1.0 - DAMPING) * log_stable(new)
                 )
                 residual = max(residual, float(np.max(np.abs(mixed - old[key]))))
                 blended[key] = mixed

@@ -22,12 +22,9 @@ from .config import ExperimentConfig
 from .core import (
     BeliefState,
     Categorical,
-    DimMismatchError,
     GenerativeModel,
     Policy,
     js_divergence,
-    log_stable,
-    normalized_exp,
 )
 from .envs import (
     ELEPHANT,
@@ -50,7 +47,13 @@ from .net import (
     fuse_evidence,
     select_sources,
 )
-from .planning import EFEReport, expected_free_energy, sophisticated_root_values
+from .planning import (
+    EFEReport,
+    expected_free_energy,  # noqa: F401 -- unused; perfbench/tracer.py patches harness.expected_free_energy
+    expected_states,
+    policy_posterior,
+    sophisticated_root_values,
+)
 
 WHAT_FACTOR_ID = 0
 
@@ -63,6 +66,8 @@ class StepRecord:
     efe: EFEReport | None
     action: tuple[int, ...] | None
     obs: tuple[int, ...]
+    # one-step reports and posterior probabilities of the planner's root
+    # actions, in the same order
     policy_efes: tuple[EFEReport, ...] | None = None
     action_probs: np.ndarray | None = None
 
@@ -84,10 +89,6 @@ class RunResult:
 def synchrony(p, q) -> float:
     """Jensen-Shannon divergence between two belief vectors; 0 means aligned,
     ln 2 means disjoint support."""
-    p = p.probs if isinstance(p, Categorical) else np.asarray(p, dtype=float)
-    q = q.probs if isinstance(q, Categorical) else np.asarray(q, dtype=float)
-    if p.shape != q.shape:
-        raise DimMismatchError(f"belief dims differ: {p.shape} vs {q.shape}")
     return max(0.0, js_divergence(p, q))
 
 
@@ -105,14 +106,6 @@ def _action_prior(m: GenerativeModel, actions) -> np.ndarray:
     for policy, weight in zip(m.policies, m.E.probs):
         prior[index[policy.controls[0]]] += weight
     return prior
-
-
-def _transition_prior(m: GenerativeModel, belief: BeliefState, action) -> BeliefState:
-    factors = tuple(
-        Categorical(m.B[f][:, :, action[f]] @ belief.factors[f].probs)
-        for f in range(m.num_factors)
-    )
-    return BeliefState(factors)
 
 
 def run_single_agent(cfg: ExperimentConfig, model: GenerativeModel | None = None) -> RunResult:
@@ -135,31 +128,30 @@ def run_single_agent(cfg: ExperimentConfig, model: GenerativeModel | None = None
         belief = result.belief
         report = variational_free_energy(belief, m, obs, prior=prior)
 
-        actions, values = sophisticated_root_values(
+        actions, values, reports = sophisticated_root_values(
             m, belief, depth=cfg.depth, prune_threshold=cfg.prune_threshold
         )
-        log_prior = log_stable(_action_prior(m, actions))
-        probs = normalized_exp(log_prior - cfg.gamma * values)
-        action = actions[int(rng.choice(len(actions), p=probs))]
-        efe = expected_free_energy(m, belief, Policy((action,)))
-        policy_efes = tuple(expected_free_energy(m, belief, pol) for pol in m.policies)
+        prior_over_actions = Categorical(_action_prior(m, actions))
+        probs = policy_posterior(values, prior_over_actions, cfg.gamma).probs.probs
+        choice = int(rng.choice(len(actions), p=probs))
+        action = actions[choice]
 
         records.append(
             StepRecord(
                 t=t,
                 beliefs=belief.arrays(),
                 free_energy=report.free_energy,
-                efe=efe,
+                efe=reports[choice],
                 action=action,
                 obs=obs,
-                policy_efes=policy_efes,
+                policy_efes=tuple(reports),
                 action_probs=probs,
             )
         )
         action_log.append(action)
         obs = env.step(action)
         location_log.append(obs[0])
-        prior = _transition_prior(m, belief, action)
+        (prior,) = expected_states(m, belief, Policy((action,)))
 
     extras = {
         "reward_side": env.true_state()[1],
@@ -249,9 +241,7 @@ def run_collective(
 
             posteriors = []
             for i in range(n):
-                own_only = Categorical(
-                    normalized_exp(log_stable(ref_prior.probs) + cumulative[i])
-                )
+                own_only = fuse_evidence(ref_prior, (), own_log_evidence=cumulative[i])
                 if cfg.share:
                     fresh = {
                         msg.origin: msg

@@ -20,11 +20,15 @@ from .core import (
     DimMismatchError,
     DirichletCounts,
     GenerativeModel,
+    kl_divergence,
     log_stable,
     normalized_exp,
 )
 
 ENUMERATION_GUARD = 10**6
+
+# Weight of the old log-posterior in each damped mean-field update.
+DAMPING = 0.5
 
 # Finite stand-ins for ln 0. Both sit above ln of the smallest normal double
 # (about -708), so a state kept alive only by a floor scores exp(floor) ~ 1e-300
@@ -163,8 +167,6 @@ def variational_free_energy(
     exact_evidence: bool = False,
 ) -> FreeEnergyReport:
     """F = complexity - accuracy for a factorized q; an upper bound on -ln p(o)."""
-    from .core import kl_divergence  # local import keeps module top uncluttered
-
     if q.dims != m.factor_dims:
         raise DimMismatchError(f"belief dims {q.dims} != factor dims {m.factor_dims}")
     ref = prior or m.initial_belief()
@@ -191,7 +193,6 @@ def infer_states(
     prior: BeliefState | None = None,
     max_iters: int = 50,
     tol: float = 1e-8,
-    damping: float = 0.5,
 ) -> MeanFieldResult:
     """Mean-field fixed point: sweep factors, each posterior proportional to
     exp(ln prior + expected log-likelihood under the other factors' posteriors).
@@ -227,7 +228,7 @@ def infer_states(
             else:
                 expected_ll = log_like
             target = log_stable(priors[f]) + expected_ll
-            blended = damping * log_stable(qs[f]) + (1.0 - damping) * target
+            blended = DAMPING * log_stable(qs[f]) + (1.0 - DAMPING) * target
             new_q = normalized_exp(blended)
             worst = max(worst, float(np.max(np.abs(new_q - qs[f]))))
             qs[f] = new_q

@@ -126,23 +126,3 @@ class SharedFactorRegistry:
 
     def get(self, factor_id: int) -> FactorSpec:
         return self._entries[int(factor_id)]
-
-    def __contains__(self, factor_id: int) -> bool:
-        return int(factor_id) in self._entries
-
-    def ids(self) -> list[int]:
-        return sorted(self._entries)
-
-    @staticmethod
-    def from_dict(doc: Mapping) -> "SharedFactorRegistry":
-        reg = SharedFactorRegistry()
-        for key, val in doc.items():
-            reg.register(
-                int(key),
-                FactorSpec(
-                    cardinality=int(val["cardinality"]),
-                    description=str(val.get("description", "")),
-                    reference_prior=Categorical(np.asarray(val["reference_prior"], dtype=float)),
-                ),
-            )
-        return reg

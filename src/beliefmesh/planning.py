@@ -42,10 +42,6 @@ class NonPositiveGammaError(ValueError):
     """Policy precision must be > 0."""
 
 
-class EmptyPoliciesError(ValueError):
-    """Action selection needs at least one policy."""
-
-
 class BudgetExceededError(RuntimeError):
     """Recursive planner exceeded its node budget."""
 
@@ -151,24 +147,6 @@ def policy_posterior(G: Sequence[float], E: Categorical, gamma: float) -> Policy
     return PolicyPosterior(probs=probs, gamma=float(gamma))
 
 
-def select_action(pp: PolicyPosterior, policies: Sequence[Policy]) -> tuple[int, ...]:
-    """Marginalize first-step controls over the policy posterior; per factor,
-    the most probable control wins, ties to the lowest index. Deterministic."""
-    if len(policies) == 0:
-        raise EmptyPoliciesError("no policies to select among")
-    if len(policies) != pp.probs.dim:
-        raise DimMismatchError(f"{len(policies)} policies but posterior over {pp.probs.dim}")
-    F = policies[0].num_factors
-    action = []
-    for f in range(F):
-        n = max(pol.controls[0][f] for pol in policies) + 1
-        marginal = np.zeros(n)
-        for pol, p in zip(policies, pp.probs.probs):
-            marginal[pol.controls[0][f]] += p
-        action.append(int(np.argmax(marginal)))
-    return tuple(action)
-
-
 def _joint_actions(m: GenerativeModel) -> list[tuple[int, ...]]:
     return list(product(*(range(n) for n in m.num_controls)))
 
@@ -213,15 +191,16 @@ def sophisticated_root_values(
     depth: int = DEFAULT_DEPTH,
     prune_threshold: float = DEFAULT_PRUNE,
     node_budget: int = DEFAULT_NODE_BUDGET,
-) -> tuple[list[tuple[int, ...]], np.ndarray]:
-    """Per-action values at the root of the recursive planner.
+) -> tuple[list[tuple[int, ...]], np.ndarray, list[EFEReport]]:
+    """Per-action values at the root of the recursive planner, and the
+    one-step EFE report of each root action.
 
     value(b, u, d) = G_one_step(b, u) + E_{q(o|b,u)}[ min_u' value(b|o, u', d-1) ]
 
     Within one call, each (belief, action) node, the belief known by the exact
-    bytes of its factor arrays, computes G and its branches once, and each
-    (belief, action, depth) value is computed once. node_budget counts those
-    distinct values; repeat visits are free.
+    bytes of its factor arrays, computes its EFE report and its branches once,
+    and each (belief, action, depth) value is computed once. node_budget
+    counts those distinct values; repeat visits are free.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
@@ -240,8 +219,8 @@ def sophisticated_root_values(
             raise BudgetExceededError(f"planner exceeded {node_budget} node evaluations")
         node = nodes.get((key, u))
         if node is None:
-            node = nodes[key, u] = [expected_free_energy(m, b, Policy((u,))).G, None]
-        value = node[0]
+            node = nodes[key, u] = [expected_free_energy(m, b, Policy((u,))), None]
+        value = node[0].G
         if d > 1:
             if node[1] is None:
                 (q_next,) = expected_states(m, b, Policy((u,)))
@@ -257,18 +236,5 @@ def sophisticated_root_values(
         return value
 
     root = _belief_key(belief)
-    return actions, np.array([action_value(root, belief, u, depth) for u in actions])
-
-
-def plan_sophisticated(
-    m: GenerativeModel,
-    belief: BeliefState,
-    depth: int = DEFAULT_DEPTH,
-    prune_threshold: float = DEFAULT_PRUNE,
-    node_budget: int = DEFAULT_NODE_BUDGET,
-) -> tuple[tuple[int, ...], float]:
-    """Best first action and its tree value; ties go to the lexicographically
-    lowest action."""
-    actions, values = sophisticated_root_values(m, belief, depth, prune_threshold, node_budget)
-    best = int(np.argmin(values))
-    return actions[best], float(values[best])
+    root_values = np.array([action_value(root, belief, u, depth) for u in actions])
+    return actions, root_values, [nodes[root, u][0] for u in actions]

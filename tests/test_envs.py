@@ -184,6 +184,11 @@ class TestElephantModel:
         for loc in range(3):
             assert validate_model(build_elephant_model(loc)) == []
 
+    def test_rejects_a_location_outside_the_room(self):
+        for loc in (-1, 3):
+            with pytest.raises(ValueError, match="location"):
+                build_elephant_model(loc)
+
     def test_feel_likelihood_matches_feature_table(self):
         m = build_elephant_model(0, noise=0.1)
         for loc in range(3):

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from beliefmesh.config import ExperimentConfig
-from beliefmesh.core import BeliefState, Categorical
+from beliefmesh.core import BeliefState, Categorical, Policy
 from beliefmesh.envs import (
     ELEPHANT,
     TMAZE_CUE,
@@ -22,7 +22,6 @@ from beliefmesh.harness import (
     AgentTrajectory,
     RunResult,
     _action_prior,
-    _transition_prior,
     mean_pairwise_synchrony,
     run_collective,
     run_experiment,
@@ -31,6 +30,7 @@ from beliefmesh.harness import (
     write_logs,
 )
 from beliefmesh.net import MemoryBus, SpatialAddress, decode_message, encode_message
+from beliefmesh.planning import expected_free_energy, expected_states
 
 
 def tmaze_cfg(**kw):
@@ -96,7 +96,7 @@ class TestHelpers:
     def test_transition_prior_applies_controlled_dynamics(self):
         m = build_tmaze_model()
         belief = BeliefState((Categorical.delta(0, 4), Categorical(np.array([0.3, 0.7]))))
-        out = _transition_prior(m, belief, (TMAZE_CUE, 0))
+        (out,) = expected_states(m, belief, Policy(((TMAZE_CUE, 0),)))
         np.testing.assert_allclose(out.factors[0].probs, np.eye(4)[TMAZE_CUE])
         np.testing.assert_allclose(out.factors[1].probs, [0.3, 0.7])
 
@@ -156,6 +156,16 @@ class TestSingleAgent:
         # the chosen action's report is the matching single-step policy's
         idx = rec.action[0]
         assert rec.efe.G == pytest.approx(rec.policy_efes[idx].G, abs=1e-12)
+
+    def test_logged_reports_are_the_planners_root_reports(self):
+        m = build_tmaze_model()
+        for depth in (1, 4):
+            r = run_single_agent(tmaze_cfg(seed=3, steps=3, depth=depth))
+            for rec in r.trajectories[0].records:
+                assert rec.efe is rec.policy_efes[rec.action[0]]
+                belief = BeliefState(tuple(Categorical(b) for b in rec.beliefs))
+                for u, report in enumerate(rec.policy_efes):
+                    assert report == expected_free_energy(m, belief, Policy(((u, 0),)))
 
     def test_tiny_gamma_recovers_the_policy_prior(self):
         r = run_single_agent(tmaze_cfg(gamma=1e-12))
@@ -253,6 +263,10 @@ class TestCollective:
     def test_location_override_must_match_agent_count(self):
         with pytest.raises(ValueError, match="locations"):
             run_collective(elephant_cfg(), locations=[0, 1])
+
+    def test_location_override_must_name_vantage_points(self):
+        with pytest.raises(ValueError, match="location 3 outside"):
+            run_collective(elephant_cfg(agents=2), locations=[0, 3])
 
     def test_solo_posteriors_miss_the_pooled_truth_by_wide_margin(self):
         from beliefmesh.envs import pooled_elephant_posterior

@@ -16,6 +16,7 @@ from beliefmesh.harness import run_single_agent, write_logs
 from beliefmesh.planning import (
     BudgetExceededError,
     _posterior_branches,
+    expected_free_energy,
     expected_states,
     sophisticated_root_values,
 )
@@ -61,7 +62,7 @@ def test_root_values_match_the_reference_bit_for_bit():
         m = random_model(rng, num_factors=factors, num_modalities=modalities, max_outcomes=2)
         b = random_belief(rng, m)
         ref_actions, ref_values = reference.sophisticated_root_values(m, b, depth, threshold)
-        actions, values = sophisticated_root_values(m, b, depth, threshold)
+        actions, values, _ = sophisticated_root_values(m, b, depth, threshold)
         assert actions == ref_actions
         assert np.array_equal(values, ref_values), (depth, threshold, m.factor_dims)
 
@@ -100,7 +101,7 @@ class TestNodeBudget:
         assert self.visits > self.distinct
 
     def test_budget_of_exactly_the_distinct_nodes_succeeds(self):
-        actions, values = sophisticated_root_values(
+        actions, values, _ = sophisticated_root_values(
             self.m, self.belief, depth=3, node_budget=self.distinct
         )
         ref_actions, ref_values = reference.sophisticated_root_values(
@@ -121,9 +122,11 @@ def test_tmaze_logs_match_the_reference_planner(tmp_path, monkeypatch):
         write_logs(run_single_agent(cfg), tmp_path / f"new{seed}")
     calls = []
 
-    def counted_reference(*args, **kwargs):
+    def counted_reference(m, belief, **kwargs):
+        # the reference returns no reports; score each root action directly
         calls.append(1)
-        return reference.sophisticated_root_values(*args, **kwargs)
+        actions, values = reference.sophisticated_root_values(m, belief, **kwargs)
+        return actions, values, [expected_free_energy(m, belief, Policy((u,))) for u in actions]
 
     monkeypatch.setattr(harness, "sophisticated_root_values", counted_reference)
     for seed in range(5):

@@ -16,14 +16,11 @@ from beliefmesh.core import (
 from beliefmesh.planning import (
     BadControlIndexError,
     BudgetExceededError,
-    EmptyPoliciesError,
     NonPositiveGammaError,
     expected_free_energy,
     expected_states,
-    plan_sophisticated,
     policy_posterior,
     predictive_observations,
-    select_action,
     sophisticated_root_values,
 )
 from info_gain_reference import policy_info_gain
@@ -229,27 +226,11 @@ class TestPolicyPosterior:
             policy_posterior([0.0, 0.0, 0.0], Categorical.uniform(2), gamma=1.0)
 
 
-class TestSelectAction:
-    def pp(self, probs):
-        return policy_posterior(
-            -np.log(np.asarray(probs)), Categorical.uniform(len(probs)), gamma=1.0
-        )
-
-    def test_majority(self):
-        policies = [Policy(((0,),)), Policy(((1,),))]
-        assert select_action(self.pp([0.75, 0.25]), policies) == (0,)
-
-    def test_tie_break(self):
-        policies = [Policy(((0,),)), Policy(((1,),))]
-        assert select_action(self.pp([0.5, 0.5]), policies) == (0,)
-
-    def test_marginalizes_over_policies(self):
-        policies = [Policy(((1,),)), Policy(((1,),)), Policy(((0,),))]
-        assert select_action(self.pp([0.4, 0.4, 0.2]), policies) == (1,)
-
-    def test_empty(self):
-        with pytest.raises(EmptyPoliciesError):
-            select_action(self.pp([1.0]), [])
+def plan(m, belief, **kw):
+    """Best first action and its tree value; ties go to the lowest action."""
+    actions, values, _ = sophisticated_root_values(m, belief, **kw)
+    best = int(np.argmin(values))
+    return actions[best], float(values[best])
 
 
 def oracle_tree_value(m, belief, depth):
@@ -296,7 +277,7 @@ class TestSophisticatedPlanner:
         for _ in range(100):
             m = random_model(rng, horizon=1)
             b = random_belief(rng, m)
-            action, value = plan_sophisticated(m, b, depth=1)
+            action, value = plan(m, b, depth=1)
             gs = [expected_free_energy(m, b, pol).G for pol in m.policies]
             best = int(np.argmin(gs))
             assert action == m.policies[best].controls[0]
@@ -307,7 +288,7 @@ class TestSophisticatedPlanner:
         for _ in range(25):
             m = random_model(rng, num_modalities=1, max_outcomes=2)
             b = random_belief(rng, m)
-            action, value = plan_sophisticated(m, b, depth=2, prune_threshold=0.0)
+            action, value = plan(m, b, depth=2, prune_threshold=0.0)
             oracle_action, oracle_value = oracle_tree_value(m, b, 2)
             assert value == pytest.approx(oracle_value, abs=1e-10)
             assert action == oracle_action
@@ -317,27 +298,30 @@ class TestSophisticatedPlanner:
         a = np.array([[0.95, 0.95], [0.05, 0.05]])
         m = chain_model(a, b=np.stack([np.eye(2), SWAP], axis=2))
         b = m.initial_belief()
-        _, pruned = plan_sophisticated(m, b, depth=2, prune_threshold=1.0 / 16.0)
-        _, full = plan_sophisticated(m, b, depth=2, prune_threshold=0.0)
+        _, pruned = plan(m, b, depth=2, prune_threshold=1.0 / 16.0)
+        _, full = plan(m, b, depth=2, prune_threshold=0.0)
         # the pruned tree keeps only the dominant branch; values stay close
         assert pruned == pytest.approx(full, abs=0.1)
 
     def test_all_branches_pruned_keeps_the_best(self):
         m = chain_model(np.full((4, 2), 0.25))
-        action, value = plan_sophisticated(m, m.initial_belief(), depth=2, prune_threshold=0.5)
+        action, value = plan(m, m.initial_belief(), depth=2, prune_threshold=0.5)
         assert np.isfinite(value)
 
     def test_budget_exceeded(self):
         rng = np.random.default_rng(53)
         m = random_model(rng, num_factors=2, num_modalities=2)
         with pytest.raises(BudgetExceededError):
-            plan_sophisticated(m, m.initial_belief(), depth=3, node_budget=5)
+            plan(m, m.initial_belief(), depth=3, node_budget=5)
 
     def test_root_values_align_with_actions(self):
         rng = np.random.default_rng(59)
-        m = random_model(rng)
-        actions, values = sophisticated_root_values(m, m.initial_belief(), depth=2)
-        assert len(actions) == len(values)
-        best = int(np.argmin(values))
-        action, value = plan_sophisticated(m, m.initial_belief(), depth=2)
-        assert action == actions[best] and value == pytest.approx(values[best])
+        for _ in range(10):
+            m = random_model(rng)
+            b = random_belief(rng, m)
+            actions, values, reports = sophisticated_root_values(m, b, depth=2)
+            assert len(actions) == len(values) == len(reports)
+            for u, report in zip(actions, reports):
+                assert report == expected_free_energy(m, b, Policy((u,)))
+            _, one_step, _ = sophisticated_root_values(m, b, depth=1)
+            assert one_step.tolist() == [r.G for r in reports]
