@@ -11,7 +11,8 @@ at both commits and comparing the output:
 The runs: tmaze at depth 1-4, seeds 0-7, 3 steps, with the default config,
 gamma=1.0 and prune_threshold=0.0, plus the flat-preference model of
 tmaze_sweep.py; elephant on the mem bus, 4 steps, n = 3, 7 and 12 with every
-k and k=None, sharing on and off, and n = 64 with k=None.
+k and k=None, sharing on and off, and n = 64 with k=None; elephant on the
+socket transport, 4 steps, n = 3 and 12 with k=None. Seeds 0-1 for elephant.
 """
 
 from __future__ import annotations
@@ -34,6 +35,9 @@ def runs(ExperimentConfig):
             for k in (*ks, None):
                 yield ExperimentConfig(scenario="elephant", agents=n, steps=4, seed=seed, k=k), None
             yield ExperimentConfig(scenario="elephant", agents=n, steps=4, seed=seed, share=False), None
+    for n in (3, 12):
+        for seed in range(2):
+            yield ExperimentConfig(scenario="elephant", agents=n, steps=4, seed=seed, transport="socket"), None
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -15,16 +15,20 @@ Layout, all multi-byte values little-endian:
     log-evidence entries              f64 x length
     CRC32 (IEEE) of all prior bytes   u32
 
-The decoder is total: any byte buffer yields a message or a DecodeError,
-never an unhandled exception or an out-of-bounds read.
+The decoder checks the structure (magic, version, lengths, coords flag,
+trailing bytes) and the CRC. The field contents are judged in one place, by
+BeliefMessage and SpatialAddress: a non-finite value becomes NonFiniteValue,
+any other rejected value InvalidFieldValue. The decoder is still total: any
+byte buffer yields a message or a DecodeError, never an unhandled exception
+or an out-of-bounds read.
 """
 
 from __future__ import annotations
 
-import math
 import struct
 import zlib
 
+from ..core import NonFiniteError
 from .messages import BeliefMessage, SpatialAddress
 
 MAGIC = b"AIMP"
@@ -83,126 +87,81 @@ class TrailingBytes(DecodeError):
 
 
 def encode_message(msg: BeliefMessage) -> bytes:
-    out = bytearray()
-    out += MAGIC
-    out += struct.pack("<B", VERSION)
     segments = msg.origin.segments
     if len(segments) > MAX_SEGMENTS:
         raise TooManySegments(f"{len(segments)} segments, wire carries at most {MAX_SEGMENTS}")
-    out += struct.pack("<B", len(segments))
+    out = bytearray(MAGIC)
+    out += struct.pack("<BB", VERSION, len(segments))
     for seg in segments:
         raw = seg.encode("utf-8")
         if len(raw) > MAX_SEGMENT_BYTES:
             raise SegmentTooLong(f"segment of {len(raw)} bytes exceeds {MAX_SEGMENT_BYTES}")
         out += struct.pack("<H", len(raw))
         out += raw
-    if msg.origin.coords is None:
-        out += struct.pack("<B", 0)
-    else:
-        out += struct.pack("<B", 1)
-        out += struct.pack("<3d", *msg.origin.coords)
-    out += struct.pack("<I", msg.factor_id)
-    out += struct.pack("<Q", msg.timestamp)
-    out += struct.pack("<d", msg.precision)
+    coords = msg.origin.coords
+    out += struct.pack("<B", 0) if coords is None else struct.pack("<B3d", 1, *coords)
     n = msg.log_evidence.size
     if n > MAX_VECTOR_LEN:
         raise VectorTooLong(f"vector of {n} entries exceeds {MAX_VECTOR_LEN}")
-    out += struct.pack("<H", n)
-    out += struct.pack(f"<{n}d", *msg.log_evidence)
-    out += struct.pack("<I", zlib.crc32(bytes(out)) & 0xFFFFFFFF)
+    out += struct.pack(
+        f"<IQdH{n}d", msg.factor_id, msg.timestamp, msg.precision, n, *msg.log_evidence
+    )
+    out += struct.pack("<I", zlib.crc32(out) & 0xFFFFFFFF)
     return bytes(out)
 
 
-class _Cursor:
-    def __init__(self, buf: bytes):
-        self.buf = buf
-        self.pos = 0
-
-    def take(self, n: int, what: str) -> bytes:
-        if self.pos + n > len(self.buf):
-            raise Truncated(f"buffer ends inside {what}")
-        chunk = self.buf[self.pos : self.pos + n]
-        self.pos += n
-        return chunk
-
-    def u8(self, what: str) -> int:
-        return self.take(1, what)[0]
-
-    def u16(self, what: str) -> int:
-        return struct.unpack("<H", self.take(2, what))[0]
-
-    def u32(self, what: str) -> int:
-        return struct.unpack("<I", self.take(4, what))[0]
-
-    def u64(self, what: str) -> int:
-        return struct.unpack("<Q", self.take(8, what))[0]
-
-    def f64(self, what: str) -> float:
-        return struct.unpack("<d", self.take(8, what))[0]
+def _unpack(fmt: str, buf: bytes, pos: int, what: str) -> tuple:
+    try:
+        return struct.unpack_from(fmt, buf, pos)
+    except struct.error:
+        raise Truncated(f"buffer ends inside {what}") from None
 
 
 def decode_message(buf: bytes) -> BeliefMessage:
-    cur = _Cursor(bytes(buf))
-    magic = cur.take(4, "magic")
+    buf = bytes(buf)
+    (magic,) = _unpack("<4s", buf, 0, "magic")
     if magic != MAGIC:
         raise BadMagic(f"expected {MAGIC!r}, got {magic!r}")
-    version = cur.u8("version")
+    (version,) = _unpack("<B", buf, 4, "version")
     if version != VERSION:
         raise UnsupportedVersion(f"version {version}, supported: {VERSION}")
-
-    n_segments = cur.u8("segment count")
+    (n_segments,) = _unpack("<B", buf, 5, "segment count")
+    pos = 6
     raw_segments = []
     for i in range(n_segments):
-        length = cur.u16(f"segment {i} length")
-        raw_segments.append(cur.take(length, f"segment {i}"))
-    coords_flag = cur.u8("coords flag")
+        (length,) = _unpack("<H", buf, pos, f"segment {i} length")
+        (raw,) = _unpack(f"<{length}s", buf, pos + 2, f"segment {i}")
+        raw_segments.append(raw)
+        pos += 2 + length
+    (coords_flag,) = _unpack("<B", buf, pos, "coords flag")
     if coords_flag not in (0, 1):
         raise InvalidFieldValue(f"coords flag must be 0 or 1, got {coords_flag}")
+    pos += 1
     coords = None
-    if coords_flag == 1:
-        coords = struct.unpack("<3d", cur.take(24, "coords"))
-    factor_id = cur.u32("factor_id")
-    timestamp = cur.u64("timestamp")
-    precision = cur.f64("precision")
-    n = cur.u16("vector length")
-    vector = struct.unpack(f"<{n}d", cur.take(8 * n, "log-evidence vector"))
-    body_end = cur.pos
-    stored_crc = cur.u32("crc")
-    if cur.pos != len(cur.buf):
-        raise TrailingBytes(f"{len(cur.buf) - cur.pos} bytes after the message")
-    actual_crc = zlib.crc32(cur.buf[:body_end]) & 0xFFFFFFFF
+    if coords_flag:
+        coords = _unpack("<3d", buf, pos, "coords")
+        pos += 24
+    factor_id, timestamp, precision, n = _unpack("<IQdH", buf, pos, "factor_id to vector length")
+    pos += 22
+    vector = _unpack(f"<{n}d", buf, pos, "log-evidence vector")
+    pos += 8 * n
+    (stored_crc,) = _unpack("<I", buf, pos, "crc")
+    if pos + 4 != len(buf):
+        raise TrailingBytes(f"{len(buf) - pos - 4} bytes after the message")
+    actual_crc = zlib.crc32(buf[:pos]) & 0xFFFFFFFF
     if stored_crc != actual_crc:
         raise CrcMismatch(f"stored {stored_crc:#010x}, computed {actual_crc:#010x}")
 
-    # structure and integrity hold; now the field contents
-    if n_segments < 1:
-        raise InvalidFieldValue("origin needs at least one segment")
-    segments = []
-    for i, raw in enumerate(raw_segments):
-        if len(raw) == 0:
-            raise InvalidFieldValue(f"segment {i} is empty")
-        try:
-            seg = raw.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise InvalidFieldValue(f"segment {i} is not UTF-8: {exc}") from exc
-        if "/" in seg:
-            raise InvalidFieldValue(f"segment {i} contains '/'")
-        segments.append(seg)
-    if coords is not None and not all(math.isfinite(c) for c in coords):
-        raise NonFiniteValue("non-finite coordinate")
-    if not math.isfinite(precision):
-        raise NonFiniteValue(f"non-finite precision {precision}")
-    if precision < 0:
-        raise InvalidFieldValue(f"negative precision {precision}")
-    if n < 1:
-        raise InvalidFieldValue("log-evidence vector is empty")
-    if not all(math.isfinite(v) for v in vector):
-        raise NonFiniteValue("non-finite log-evidence entry")
-
-    return BeliefMessage(
-        origin=SpatialAddress(tuple(segments), coords),
-        factor_id=factor_id,
-        log_evidence=list(vector),
-        precision=precision,
-        timestamp=timestamp,
-    )
+    # structure and integrity hold; the message types judge the field contents
+    try:
+        return BeliefMessage(
+            origin=SpatialAddress(tuple(raw.decode("utf-8") for raw in raw_segments), coords),
+            factor_id=factor_id,
+            log_evidence=vector,
+            precision=precision,
+            timestamp=timestamp,
+        )
+    except NonFiniteError as exc:
+        raise NonFiniteValue(str(exc)) from exc
+    except ValueError as exc:  # also UnicodeDecodeError from a segment
+        raise InvalidFieldValue(str(exc)) from exc

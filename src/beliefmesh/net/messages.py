@@ -3,14 +3,11 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
 
 import numpy as np
 
-from ..core import Categorical
+from ..core import Categorical, NonFiniteError
 
-U8_MAX = 0xFF
-U16_MAX = 0xFFFF
 U32_MAX = 0xFFFFFFFF
 U64_MAX = 0xFFFFFFFFFFFFFFFF
 
@@ -32,13 +29,17 @@ class SpatialAddress:
                 raise ValueError("address segments must be non-empty")
             if "/" in s:
                 raise ValueError(f"address segment {s!r} contains '/'")
+            try:
+                s.encode("utf-8")
+            except UnicodeEncodeError:
+                raise ValueError(f"address segment {s!r} is not encodable as UTF-8") from None
         object.__setattr__(self, "segments", segs)
         if self.coords is not None:
             xyz = tuple(float(c) for c in self.coords)
             if len(xyz) != 3:
                 raise ValueError("coords must be three reals")
             if not all(np.isfinite(c) for c in xyz):
-                raise ValueError("coords must be finite")
+                raise NonFiniteError("coords must be finite")
             object.__setattr__(self, "coords", xyz)
 
     def canonical(self) -> str:
@@ -65,17 +66,20 @@ class BeliefMessage:
         if not (0 <= ts <= U64_MAX):
             raise ValueError(f"timestamp {ts} outside u64 range")
         object.__setattr__(self, "timestamp", ts)
+        # precision before the vector: a frame with both wrong reports the precision
+        prec = float(self.precision)
+        if not np.isfinite(prec):
+            raise NonFiniteError(f"precision must be finite, got {prec}")
+        if prec < 0:
+            raise ValueError(f"precision must be >= 0, got {prec}")
+        object.__setattr__(self, "precision", prec)
         vec = np.array(self.log_evidence, dtype=np.float64, copy=True)
         if vec.ndim != 1 or vec.size < 1:
             raise ValueError("log_evidence must be a non-empty vector")
         if not np.isfinite(vec).all():
-            raise ValueError("log_evidence entries must be finite")
+            raise NonFiniteError("log_evidence entries must be finite")
         vec.setflags(write=False)
         object.__setattr__(self, "log_evidence", vec)
-        prec = float(self.precision)
-        if not np.isfinite(prec) or prec < 0:
-            raise ValueError(f"precision must be finite and >= 0, got {prec}")
-        object.__setattr__(self, "precision", prec)
 
     def __eq__(self, other):
         if not isinstance(other, BeliefMessage):
@@ -111,10 +115,8 @@ class SharedFactorRegistry:
     """Out-of-band map from factor_id to what the id means. Agents must agree
     on this before their messages can be interpreted."""
 
-    def __init__(self, entries: Mapping[int, FactorSpec] | None = None):
+    def __init__(self):
         self._entries: dict[int, FactorSpec] = {}
-        for fid, spec in (entries or {}).items():
-            self.register(fid, spec)
 
     def register(self, factor_id: int, spec: FactorSpec) -> None:
         fid = int(factor_id)

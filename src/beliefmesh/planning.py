@@ -91,18 +91,6 @@ def expected_states(
     return out
 
 
-def predictive_observations(m: GenerativeModel, q: BeliefState) -> list[Categorical]:
-    """q(o_m) = sum_s p(o_m|s) prod_f q_f(s_f), per modality."""
-    if q.dims != m.factor_dims:
-        raise DimMismatchError(f"belief dims {q.dims} != factor dims {m.factor_dims}")
-    w = _expected_joint(q.arrays())
-    axes = list(range(m.num_factors))
-    return [
-        Categorical(np.tensordot(a, w, axes=(list(range(1, a.ndim)), axes)))
-        for a in m.A
-    ]
-
-
 def expected_free_energy(
     m: GenerativeModel, belief: BeliefState, policy: Policy
 ) -> EFEReport:

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import codec_reference
 from beliefmesh.net import (
     BadMagic,
     BeliefMessage,
@@ -60,6 +61,40 @@ def repack_crc(buf: bytearray) -> bytes:
     body = bytes(buf[:-4])
     return body + struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF)
 
+
+def frame(segments=(b"a",), coords=None, precision=0.0, vector=(0.0,), factor_id=0, timestamp=0):
+    """A hand-built frame with a correct CRC, whatever the field values."""
+    body = b"AIMP" + bytes([1, len(segments)])
+    for raw in segments:
+        body += struct.pack("<H", len(raw)) + raw
+    body += b"\x00" if coords is None else struct.pack("<B3d", 1, *coords)
+    body += struct.pack(
+        f"<IQdH{len(vector)}d", factor_id, timestamp, precision, len(vector), *vector
+    )
+    return body + struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF)
+
+
+def fuzz_buffers():
+    """10,000 buffers: random bytes, prefixes of valid frames, and valid
+    frames with 1-5 bits flipped (CRC left stale)."""
+    rng = np.random.default_rng(999)
+    seed_messages = [encode_message(random_message(rng)) for _ in range(20)]
+    for i in range(10_000):
+        mode = i % 3
+        if mode == 0:
+            buf = rng.bytes(int(rng.integers(0, 120)))
+        elif mode == 1:
+            base = seed_messages[int(rng.integers(len(seed_messages)))]
+            buf = base[: int(rng.integers(0, len(base) + 1))]
+        else:
+            base = bytearray(seed_messages[int(rng.integers(len(seed_messages)))])
+            for _ in range(int(rng.integers(1, 6))):
+                base[int(rng.integers(len(base)))] ^= 1 << int(rng.integers(8))
+            buf = bytes(base)
+        yield buf
+
+
+NAN, INF = float("nan"), float("inf")
 
 finite_f64 = st.floats(allow_nan=False, allow_infinity=False, width=64)
 
@@ -153,6 +188,11 @@ class TestEncodeErrors:
         with pytest.raises(VectorTooLong):
             encode_message(msg)
 
+    def test_segment_with_a_lone_surrogate_never_reaches_the_encoder(self):
+        # "\ud800" has no UTF-8 form; the address refuses it like its other bad segments
+        with pytest.raises(ValueError, match="UTF-8"):
+            SpatialAddress(("room", "\ud800"))
+
 
 class TestDecodeErrors:
     def test_truncated_by_one_byte(self):
@@ -241,24 +281,26 @@ class TestDecodeErrors:
         with pytest.raises(DecodeError):
             decode_message(b"")
 
+    @pytest.mark.parametrize(
+        "wire, error",
+        [
+            (frame(segments=(b"\xff",)), InvalidFieldValue),
+            (frame(segments=(b"",)), InvalidFieldValue),
+            (frame(coords=(0.0, NAN, 0.0)), NonFiniteValue),
+            (frame(vector=()), InvalidFieldValue),
+            (b"AIMP\x02", UnsupportedVersion),
+        ],
+        ids=["non-utf8-segment", "empty-segment", "nan-coordinate", "empty-vector", "version-2-prefix"],
+    )
+    def test_field_and_prefix_errors(self, wire, error):
+        with pytest.raises(error):
+            decode_message(wire)
+
 
 class TestFuzz:
     def test_decoder_is_total(self):
-        rng = np.random.default_rng(999)
-        seed_messages = [encode_message(random_message(rng)) for _ in range(20)]
         crashes = 0
-        for i in range(10_000):
-            mode = i % 3
-            if mode == 0:
-                buf = rng.bytes(int(rng.integers(0, 120)))
-            elif mode == 1:
-                base = seed_messages[int(rng.integers(len(seed_messages)))]
-                buf = base[: int(rng.integers(0, len(base) + 1))]
-            else:
-                base = bytearray(seed_messages[int(rng.integers(len(seed_messages)))])
-                for _ in range(int(rng.integers(1, 6))):
-                    base[int(rng.integers(len(base)))] ^= 1 << int(rng.integers(8))
-                buf = bytes(base)
+        for buf in fuzz_buffers():
             try:
                 decode_message(buf)
             except DecodeError:
@@ -266,3 +308,86 @@ class TestFuzz:
             except Exception:
                 crashes += 1
         assert crashes == 0
+
+
+def outcome(decode, buf):
+    """The re-encoded message, or the DecodeError subclass raised."""
+    try:
+        return encode_message(decode(buf))
+    except DecodeError as exc:
+        return type(exc)
+
+
+def differences(buffers):
+    """Buffers on which the decoder and the reference decoder disagree, and
+    the set of outcome kinds seen (bytes for a decoded message)."""
+    differ, kinds = [], set()
+    for buf in buffers:
+        ours = outcome(decode_message, buf)
+        if ours != outcome(codec_reference.decode_message, buf):
+            differ.append(buf)
+        kinds.add(bytes if isinstance(ours, bytes) else ours)
+    return differ, kinds
+
+
+def reference_frames():
+    """20 random frames, then the same frames announcing version 2."""
+    rng = np.random.default_rng(17)
+    frames = [encode_message(random_message(rng)) for _ in range(20)]
+    return frames + [wire[:4] + b"\x02" + wire[5:] for wire in frames]
+
+
+def bit_flips(wire):
+    """Every single-bit flip of the body, with the CRC recomputed."""
+    for i in range(len(wire) - 4):
+        for bit in range(8):
+            flipped = bytearray(wire)
+            flipped[i] ^= 1 << bit
+            yield repack_crc(flipped)
+
+
+MULTI_FAULT_FRAMES = {
+    "negative-precision-infinite-entry": frame(precision=-1.0, vector=(INF,)),
+    "nan-precision-empty-vector": frame(precision=NAN, vector=()),
+    "negative-precision-empty-vector": frame(precision=-1.0, vector=()),
+    "infinite-precision-nan-entry": frame(precision=INF, vector=(1.0, NAN)),
+    "infinite-coord-negative-precision": frame(coords=(INF, 0.0, 0.0), precision=-1.0),
+    "slash-segment-nan-coord": frame(segments=(b"a/b",), coords=(NAN, 0.0, 0.0)),
+    "bad-utf8-after-good-segment-infinite-coord": frame(
+        segments=(b"ok", b"\xff"), coords=(INF, 0.0, 0.0)
+    ),
+    "empty-and-slash-segments-empty-vector": frame(segments=(b"", b"/"), vector=()),
+    "no-segments-nan-precision": frame(segments=(), precision=NAN),
+    "nan-coord-nan-precision-empty-vector": frame(
+        coords=(0.0, 0.0, NAN), precision=NAN, vector=()
+    ),
+}
+
+
+class TestAgainstReference:
+    """The decoder matches tests/codec_reference.py, the decoder that checked
+    every field itself, on every buffer: same message or same error class."""
+
+    def test_fuzz_corpus(self):
+        differ, _ = differences(fuzz_buffers())
+        assert differ == []
+
+    def test_every_prefix(self):
+        buffers = [wire[:cut] for wire in reference_frames() for cut in range(len(wire) + 1)]
+        differ, kinds = differences(buffers)
+        assert differ == []
+        assert {Truncated, UnsupportedVersion, bytes} <= kinds
+
+    def test_every_single_bit_flip_with_crc_recomputed(self):
+        differ, kinds = differences(
+            flipped for wire in reference_frames() for flipped in bit_flips(wire)
+        )
+        assert differ == []
+        assert {BadMagic, UnsupportedVersion, Truncated, TrailingBytes, InvalidFieldValue,
+                bytes} <= kinds
+
+    @pytest.mark.parametrize("wire", MULTI_FAULT_FRAMES.values(), ids=MULTI_FAULT_FRAMES.keys())
+    def test_multi_fault_frames(self, wire):
+        differ, kinds = differences([wire])
+        assert differ == []
+        assert kinds <= {InvalidFieldValue, NonFiniteValue}

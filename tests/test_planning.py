@@ -20,7 +20,6 @@ from beliefmesh.planning import (
     expected_free_energy,
     expected_states,
     policy_posterior,
-    predictive_observations,
     sophisticated_root_values,
 )
 from info_gain_reference import policy_info_gain
@@ -73,30 +72,6 @@ class TestExpectedStates:
         m = chain_model(np.eye(2))
         with pytest.raises(BadControlIndexError):
             expected_states(m, m.initial_belief(), Policy(((4,),)))
-
-
-class TestPredictiveObservations:
-    def test_identity_readout(self):
-        m = chain_model(np.eye(2))
-        q = BeliefState((Categorical(np.array([0.7, 0.3])),))
-        (qo,) = predictive_observations(m, q)
-        np.testing.assert_allclose(qo.probs, [0.7, 0.3])
-
-    def test_symmetric_washout(self):
-        m = chain_model([[0.9, 0.1], [0.1, 0.9]])
-        (qo,) = predictive_observations(m, m.initial_belief())
-        np.testing.assert_allclose(qo.probs, [0.5, 0.5])
-
-    def test_column_readout(self):
-        m = chain_model([[0.9, 0.1], [0.1, 0.9]])
-        q = BeliefState((Categorical(np.array([1.0, 0.0])),))
-        (qo,) = predictive_observations(m, q)
-        np.testing.assert_allclose(qo.probs, [0.9, 0.1])
-
-    def test_dim_mismatch(self):
-        m = chain_model(np.eye(2))
-        with pytest.raises(DimMismatchError):
-            predictive_observations(m, BeliefState((Categorical.uniform(3),)))
 
 
 class TestExpectedFreeEnergy:
