@@ -132,7 +132,7 @@ def run_single_agent(cfg: ExperimentConfig, model: GenerativeModel | None = None
             m, belief, depth=cfg.depth, prune_threshold=cfg.prune_threshold
         )
         prior_over_actions = Categorical(_action_prior(m, actions))
-        probs = policy_posterior(values, prior_over_actions, cfg.gamma).probs.probs
+        probs = policy_posterior(values, prior_over_actions, cfg.gamma).probs
         choice = int(rng.choice(len(actions), p=probs))
         action = actions[choice]
 
@@ -251,7 +251,7 @@ def run_collective(
                     sources = [
                         (j, models[j].A[0][:, :, locations[j]]) for j in range(n) if j != i
                     ]
-                    chosen = select_sources(own_only, sources, min(cfg.resolved_k(), n - 1))
+                    chosen = select_sources(own_only, sources, cfg.resolved_k())
                     picked = [addresses[j] for j in sorted(chosen)]
                     selected = [fresh[a] for a in picked if a in fresh]
                     posterior = fuse_evidence(ref_prior, selected, own_log_evidence=cumulative[i])

@@ -70,7 +70,6 @@ class FreeEnergyReport:
     free_energy: float
     complexity: float
     accuracy: float
-    negative_log_evidence: float | None = None
 
 
 @dataclass(frozen=True)
@@ -164,7 +163,6 @@ def variational_free_energy(
     m: GenerativeModel,
     obs: Sequence[int],
     prior: BeliefState | None = None,
-    exact_evidence: bool = False,
 ) -> FreeEnergyReport:
     """F = complexity - accuracy for a factorized q; an upper bound on -ln p(o)."""
     if q.dims != m.factor_dims:
@@ -175,15 +173,10 @@ def variational_free_energy(
     )
     weights = _expected_joint(q.arrays())
     accuracy = _masked_expectation(weights, joint_log_likelihood(m, obs))
-    nle = None
-    if exact_evidence:
-        _, log_ev = exact_posterior(m, obs, prior=ref)
-        nle = -log_ev
     return FreeEnergyReport(
         free_energy=float(complexity - accuracy),
         complexity=float(complexity),
         accuracy=accuracy,
-        negative_log_evidence=nle,
     )
 
 

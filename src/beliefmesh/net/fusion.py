@@ -13,6 +13,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from ..core import (
+    STOCHASTIC_TOL,
     Categorical,
     DimMismatchError,
     conditional_entropies,
@@ -64,7 +65,7 @@ def _check_source_likelihood(belief: Categorical, likelihood) -> np.ndarray:
     if np.any(lk < 0):
         raise ValueError("source likelihood entries must be >= 0")
     sums = lk.sum(axis=0)
-    if np.any(np.abs(sums - 1.0) > 1e-9):
+    if np.any(np.abs(sums - 1.0) > STOCHASTIC_TOL):
         raise ValueError(f"source likelihood columns must sum to 1, got {sums}")
     return lk
 

@@ -58,12 +58,6 @@ class EFEReport:
     pragmatic: float
 
 
-@dataclass(frozen=True)
-class PolicyPosterior:
-    probs: Categorical
-    gamma: float
-
-
 def _clamp_nonneg(x: float) -> float:
     # KL and entropy sums may come out a hair under zero in floats
     return 0.0 if -1e-9 < x < 0.0 else x
@@ -124,15 +118,14 @@ def expected_free_energy(
     )
 
 
-def policy_posterior(G: Sequence[float], E: Categorical, gamma: float) -> PolicyPosterior:
+def policy_posterior(G: Sequence[float], E: Categorical, gamma: float) -> Categorical:
     """softmax(ln E - gamma * G)."""
     g = np.asarray(G, dtype=np.float64)
     if gamma <= 0:
         raise NonPositiveGammaError(f"gamma must be > 0, got {gamma}")
     if g.shape != (E.dim,):
         raise DimMismatchError(f"{g.shape[0]} G values for {E.dim} policies")
-    probs = Categorical(normalized_exp(log_stable(E.probs) - gamma * g))
-    return PolicyPosterior(probs=probs, gamma=float(gamma))
+    return Categorical(normalized_exp(log_stable(E.probs) - gamma * g))
 
 
 def _joint_actions(m: GenerativeModel) -> list[tuple[int, ...]]:

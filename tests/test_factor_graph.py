@@ -11,17 +11,16 @@ from beliefmesh.factor_graph import (
     Factor,
     FactorGraph,
     GraphStructureError,
-    NotYetRunError,
     Schedule,
     SumProductResult,
-    UnknownVariableError,
     Variable,
     build_dual_graph,
-    marginal,
     sum_product,
 )
 from beliefmesh.inference import exact_posterior, infer_states
 from modelgen import random_model, random_observation
+
+import factor_graph_reference as reference
 
 
 def oracle_marginals(g: FactorGraph) -> dict[str, np.ndarray]:
@@ -125,6 +124,21 @@ class TestBuildDualGraph:
         assert "edge D0 s0@t0" in dump
         assert "edge A0@t0 s0@t0" in dump
 
+    @pytest.mark.parametrize("obs", [(-1,), (2,), [[0], [-1]], [[0], [2]]])
+    def test_rejects_outcome_out_of_range(self, obs):
+        from test_core import tiny_model
+
+        controls = None if len(obs) == 1 else [[0]]
+        with pytest.raises(ValueError, match="outcome"):
+            build_dual_graph(tiny_model(), obs, controls=controls)
+
+    @pytest.mark.parametrize("u", [-1, 2])
+    def test_rejects_control_out_of_range(self, u):
+        from test_core import tiny_model
+
+        with pytest.raises(ValueError, match="control"):
+            build_dual_graph(tiny_model(), [[0], [1]], controls=[[u]])
+
 
 class TestSumProduct:
     def test_single_variable_product_of_unary_factors(self):
@@ -168,6 +182,15 @@ class TestSumProduct:
             for vid, got in result.marginals.items():
                 np.testing.assert_allclose(got.probs, oracle[vid], atol=1e-10)
 
+    def test_tree_sweep_accepts_an_empty_variable_id(self):
+        g = FactorGraph(
+            [Variable("", 2), Variable("y", 2)],
+            [Factor("f", ("", "y"), np.array([[0.9, 0.1], [0.2, 0.8]]))],
+        )
+        result = sum_product(g, Schedule(mode="tree-sweep"))
+        for vid, probs in oracle_marginals(g).items():
+            np.testing.assert_allclose(result.marginals[vid].probs, probs, atol=1e-12)
+
     def test_flooding_agrees_with_tree_sweep_on_trees(self):
         rng = np.random.default_rng(9)
         for _ in range(20):
@@ -184,8 +207,8 @@ class TestSumProduct:
     def test_messages_stay_normalized(self):
         rng = np.random.default_rng(10)
         g = random_tree_graph(rng)
-        sum_product(g, Schedule(mode="flooding", max_iters=7))
-        for msg in g.messages.values():
+        result = sum_product(g, Schedule(mode="flooding", max_iters=7))
+        for msg in result.messages.values():
             assert msg.sum() == pytest.approx(1.0, abs=1e-9)
 
     def test_cyclic_graph_rejected_by_tree_sweep(self):
@@ -217,15 +240,94 @@ class TestSumProduct:
 
     def test_marginal_errors(self):
         g = FactorGraph([Variable("x", 2)], [Factor("f", ("x",), np.ones(2))])
-        with pytest.raises(NotYetRunError):
-            g.marginal("x")
-        sum_product(g)
-        with pytest.raises(UnknownVariableError):
-            marginal(g, "zz")
-        np.testing.assert_allclose(marginal(g, "x").probs, [0.5, 0.5])
+        np.testing.assert_allclose(sum_product(g).marginals["x"].probs, [0.5, 0.5])
 
 
-class TestAgreementWithInference:
+class TestPurity:
+    def test_sum_product_leaves_no_state_on_the_graph(self):
+        # the stalled loopy graph of test_loopy_flooding_is_flagged_when_it_stalls
+        xor = np.array([[0.05, 0.95], [0.95, 0.05]])
+        g = FactorGraph(
+            [Variable("x", 2), Variable("y", 2)],
+            [
+                Factor("f1", ("x", "y"), xor),
+                Factor("f2", ("x", "y"), np.eye(2) + 0.01),
+                Factor("bias", ("x",), np.array([0.9, 0.1])),
+            ],
+        )
+        schedule = Schedule(mode="flooding", max_iters=3, tol=1e-12)
+        first, second = sum_product(g, schedule), sum_product(g, schedule)
+        assert_same_result(first, second)
+
+        rng = np.random.default_rng(21)
+        for _ in range(10):
+            g = random_tree_graph(rng)
+            sum_product(g, Schedule(mode="tree-sweep"))
+            after = sum_product(g, Schedule(mode="flooding"))
+            fresh = sum_product(FactorGraph(g.variables, g.factors), Schedule(mode="flooding"))
+            assert after.iterations == fresh.iterations > 1
+            assert_same_result(after, fresh)
+
+
+def assert_same_result(got, want):
+    assert got.converged == want.converged
+    assert got.iterations == want.iterations
+    assert list(got.marginals) == list(want.marginals)
+    for vid, q in want.marginals.items():
+        assert np.array_equal(got.marginals[vid].probs, q.probs), vid
+
+
+def random_dual_graph_case(rng):
+    """A model with partly unobserved rows over 1-3 timesteps; with two hidden
+    factors and two or more timesteps the dual graph has loops."""
+    m = random_model(rng, num_factors=int(rng.integers(1, 3)))
+    T = int(rng.integers(1, 4))
+    obs = [
+        [None if rng.random() < 0.3 else o for o in random_observation(rng, m)]
+        for _ in range(T)
+    ]
+    controls = [[int(rng.integers(0, n)) for n in m.num_controls] for _ in range(T - 1)]
+    return m, obs, controls
+
+
+class TestAgainstReference:
+    """sum_product and build_dual_graph against the stateful graph they
+    replaced (factor_graph_reference.py): equal arrays, not just close ones."""
+
+    def check(self, g, ref_g, schedule):
+        got = sum_product(g, schedule)
+        ref_schedule = reference.Schedule(schedule.mode, schedule.max_iters, schedule.tol)
+        want = reference.sum_product(ref_g, ref_schedule)
+        assert_same_result(got, want)
+        assert list(got.messages) == list(ref_g.messages)
+        for key, msg in ref_g.messages.items():
+            assert np.array_equal(got.messages[key], msg), key
+        return got
+
+    def test_tree_sweep_on_random_trees(self):
+        rng = np.random.default_rng(31)
+        for _ in range(200):
+            g = random_tree_graph(rng)
+            self.check(g, reference.FactorGraph(g.variables, g.factors), Schedule("tree-sweep"))
+
+    def test_flooding_on_random_trees_and_dual_graphs(self):
+        rng = np.random.default_rng(32)
+        converged = loopy = 0
+        for i in range(80):
+            schedule = Schedule("flooding", max_iters=int(rng.integers(1, 81)))
+            if i % 2:
+                g = random_tree_graph(rng)
+                ref_g = reference.FactorGraph(g.variables, g.factors)
+            else:
+                m, obs, controls = random_dual_graph_case(rng)
+                g = build_dual_graph(m, obs, controls)
+                ref_g = reference.build_dual_graph(m, obs, controls)
+                assert g.edge_list() == ref_g.edge_list()
+                loopy += not ref_g.is_tree()
+            converged += self.check(g, ref_g, schedule).converged
+        assert 0 < converged < 80  # stalled runs are covered too
+        assert loopy > 10
+
     def test_two_routes_to_the_same_posterior(self):
         rng = np.random.default_rng(12)
         for _ in range(30):

@@ -173,16 +173,16 @@ class TestRLSpecialCase:
 class TestPolicyPosterior:
     def test_flat_g(self):
         pp = policy_posterior([0.0, 0.0], Categorical.uniform(2), gamma=1.0)
-        np.testing.assert_allclose(pp.probs.probs, [0.5, 0.5])
+        np.testing.assert_allclose(pp.probs, [0.5, 0.5])
 
     def test_known_value(self):
         pp = policy_posterior([0.0, np.log(3.0)], Categorical.uniform(2), gamma=1.0)
-        np.testing.assert_allclose(pp.probs.probs, [0.75, 0.25], atol=1e-12)
+        np.testing.assert_allclose(pp.probs, [0.75, 0.25], atol=1e-12)
 
     def test_prior_dominates_at_tiny_gamma(self):
         e = Categorical(np.array([0.2, 0.8]))
         pp = policy_posterior([5.0, -3.0], e, gamma=1e-12)
-        np.testing.assert_allclose(pp.probs.probs, e.probs, atol=1e-6)
+        np.testing.assert_allclose(pp.probs, e.probs, atol=1e-6)
 
     def test_shift_invariance(self):
         rng = np.random.default_rng(41)
@@ -190,7 +190,7 @@ class TestPolicyPosterior:
         e = Categorical(rng.dirichlet(np.ones(4)))
         a = policy_posterior(g, e, gamma=2.0)
         b = policy_posterior(g + 17.3, e, gamma=2.0)
-        np.testing.assert_allclose(a.probs.probs, b.probs.probs, atol=1e-12)
+        np.testing.assert_allclose(a.probs, b.probs, atol=1e-12)
 
     def test_rejects_bad_gamma(self):
         with pytest.raises(NonPositiveGammaError):

@@ -1,6 +1,7 @@
 """The example scripts run from a checkout, without an install, on their
-smallest settings."""
+smallest settings; the log digest runs on four configs."""
 
+import importlib.util
 import os
 import subprocess
 import sys
@@ -31,3 +32,26 @@ def test_script_runs_and_reports(tmp_path, script, args, line):
     )
     assert proc.returncode == 0, proc.stderr
     assert line in proc.stdout
+
+
+def test_log_digest_prints_one_stable_line_per_run(monkeypatch, capsys):
+    spec = importlib.util.spec_from_file_location("log_digest", SCRIPTS / "log_digest.py")
+    log_digest = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(log_digest)
+
+    def runs(ExperimentConfig):
+        yield ExperimentConfig(scenario="tmaze", steps=2, seed=0, depth=1), None
+        yield ExperimentConfig(scenario="tmaze", steps=2, seed=1, depth=2), "flat"
+        yield ExperimentConfig(scenario="elephant", agents=3, steps=2, seed=0), None
+        yield ExperimentConfig(scenario="elephant", agents=3, steps=2, seed=0, share=False), None
+
+    monkeypatch.setattr(log_digest, "runs", runs)
+    monkeypatch.setattr(sys, "path", list(sys.path))  # main() prepends --src
+    outputs = []
+    for _ in range(2):
+        assert log_digest.main([]) == 0
+        outputs.append(capsys.readouterr().out)
+    lines = outputs[0].splitlines()
+    assert outputs[0] == outputs[1]
+    assert [line.split()[0] for line in lines] == ["default", "flat", "default", "default"]
+    assert len({line.split()[-1] for line in lines}) == 4  # one distinct sha256 per run
