@@ -328,6 +328,8 @@ class TestAgainstReference:
         assert 0 < converged < 80  # stalled runs are covered too
         assert loopy > 10
 
+
+class TestAgreementWithInference:
     def test_two_routes_to_the_same_posterior(self):
         rng = np.random.default_rng(12)
         for _ in range(30):
