@@ -126,7 +126,3 @@ def read_config_file(path) -> dict:
     if not isinstance(data, dict):
         raise ConfigInvalidError(["configuration must be a JSON object"])
     return data
-
-
-def load_config(path) -> ExperimentConfig:
-    return config_from_dict(read_config_file(path))

@@ -2,18 +2,14 @@
 
 Conventions used throughout the package:
   - probabilities are stored in linear space as float64; log space is used
-    only transiently inside softmax-style normalizations
+    only transiently inside exp-and-normalize steps (``normalized_exp``)
   - 0 * ln 0 = 0
-  - stochasticity is validated to 1e-9 and never repaired silently; call
-    ``normalize`` explicitly to repair
+  - stochasticity is validated to 1e-9 and never repaired silently
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,14 +30,6 @@ class DimMismatchError(ValueError):
 
 class NonFiniteError(ValueError):
     """NaN or infinity where finite values were required."""
-
-
-class InvalidModelError(ValueError):
-    """Raised by the model loader when validation finds violations."""
-
-    def __init__(self, violations: list[str]):
-        self.violations = violations
-        super().__init__("invalid generative model:\n  " + "\n  ".join(violations))
 
 
 def _as_vector(x) -> np.ndarray:
@@ -104,10 +92,6 @@ class DirichletCounts:
             raise ValueError("Dirichlet counts must be strictly positive")
         c.setflags(write=False)
         object.__setattr__(self, "counts", c)
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self.counts.shape
 
 
 @dataclass(frozen=True)
@@ -199,27 +183,9 @@ class GenerativeModel:
         return BeliefState(factors=self.D)
 
 
-def normalize(v) -> Categorical:
-    """Scale a nonnegative vector to sum 1."""
-    vec = _as_vector(v)
-    if np.any(vec < 0):
-        raise NegativeEntryError(f"cannot normalize vector with negative entries: {vec}")
-    total = float(vec.sum())
-    if total == 0.0:
-        raise AllZeroError("cannot normalize the all-zero vector")
-    return Categorical(vec / total)
-
-
-def softmax(logits) -> Categorical:
-    """exp-and-normalize; invariant to adding a constant to all logits."""
-    z = _as_vector(logits)
-    if not np.isfinite(z).all():
-        raise NonFiniteError(f"softmax requires finite logits, got {z}")
-    return Categorical(normalized_exp(z))
-
-
 def normalized_exp(logits: np.ndarray) -> np.ndarray:
-    """Softmax on a raw array. Tolerates -inf entries (zero probability)."""
+    """exp(z) / sum(exp(z)) on a raw array, shifted by max(z) for stability.
+    Tolerates -inf entries (zero probability)."""
     z = np.asarray(logits, dtype=np.float64)
     m = np.max(z)
     if m == -np.inf:
@@ -361,62 +327,3 @@ def validate_model(m: GenerativeModel) -> list[str]:
                             f"[0, {n_controls[f]})"
                         )
     return bad
-
-
-# --- model document I/O ----------------------------------------------------
-#
-# Models load from a JSON document whose fields mirror GenerativeModel:
-# factor_dims, modality_dims, A, B, C, D, E, policies (nested lists; policies
-# as {"controls": [[u_f, ...], ...]}). The loader reports the same violations
-# as validate_model.
-
-
-def model_from_dict(doc: dict) -> GenerativeModel:
-    required = {"factor_dims", "modality_dims", "A", "B", "C", "D", "E", "policies"}
-    missing = required - doc.keys()
-    if missing:
-        raise InvalidModelError([f"document missing fields: {sorted(missing)}"])
-    unknown = doc.keys() - required
-    if unknown:
-        raise InvalidModelError([f"document has unknown fields: {sorted(unknown)}"])
-    try:
-        model = GenerativeModel(
-            factor_dims=tuple(doc["factor_dims"]),
-            modality_dims=tuple(doc["modality_dims"]),
-            A=tuple(np.asarray(a, dtype=np.float64) for a in doc["A"]),
-            B=tuple(np.asarray(b, dtype=np.float64) for b in doc["B"]),
-            C=tuple(np.asarray(c, dtype=np.float64) for c in doc["C"]),
-            D=tuple(Categorical(np.asarray(d, dtype=np.float64)) for d in doc["D"]),
-            E=Categorical(np.asarray(doc["E"], dtype=np.float64)),
-            policies=tuple(Policy(tuple(tuple(s) for s in p["controls"])) for p in doc["policies"]),
-        )
-    except (ValueError, TypeError, KeyError) as exc:
-        raise InvalidModelError([f"malformed document: {exc}"]) from exc
-    violations = validate_model(model)
-    if violations:
-        raise InvalidModelError(violations)
-    return model
-
-
-def load_model(path: str | Path) -> GenerativeModel:
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    return model_from_dict(doc)
-
-
-def model_to_dict(m: GenerativeModel) -> dict:
-    return {
-        "factor_dims": list(m.factor_dims),
-        "modality_dims": list(m.modality_dims),
-        "A": [a.tolist() for a in m.A],
-        "B": [b.tolist() for b in m.B],
-        "C": [c.tolist() for c in m.C],
-        "D": [d.probs.tolist() for d in m.D],
-        "E": m.E.probs.tolist(),
-        "policies": [{"controls": [list(s) for s in p.controls]} for p in m.policies],
-    }
-
-
-def save_model(m: GenerativeModel, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(model_to_dict(m), fh, indent=2)

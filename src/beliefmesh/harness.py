@@ -29,6 +29,7 @@ from .core import (
 from .envs import (
     ELEPHANT,
     NUM_LOCATIONS,
+    WHAT_NAMES,
     ElephantRoomEnv,
     TMazeEnv,
     build_elephant_model,
@@ -38,12 +39,10 @@ from .envs import (
 from .inference import LOG_EVIDENCE_FLOOR, infer_states, snap, variational_free_energy
 from .net import (
     BeliefMessage,
-    FactorSpec,
     MemoryBus,
-    SharedFactorRegistry,
+    SocketEndpoint,
     SocketHub,
     SpatialAddress,
-    connect_socket_endpoint,
     fuse_evidence,
     select_sources,
 )
@@ -163,19 +162,6 @@ def run_single_agent(cfg: ExperimentConfig, model: GenerativeModel | None = None
     return RunResult(cfg, (trajectory,), (), extras)
 
 
-def shared_factor_registry() -> SharedFactorRegistry:
-    registry = SharedFactorRegistry()
-    registry.register(
-        WHAT_FACTOR_ID,
-        FactorSpec(
-            cardinality=3,
-            description="scene category (elephant, statue, empty)",
-            reference_prior=Categorical.uniform(3),
-        ),
-    )
-    return registry
-
-
 def run_collective(
     cfg: ExperimentConfig,
     true_what: int = ELEPHANT,
@@ -193,8 +179,7 @@ def run_collective(
         locations = [i % NUM_LOCATIONS for i in range(n)]
     elif len(locations) != n:
         raise ValueError(f"{len(locations)} locations for {n} agents")
-    registry = shared_factor_registry()
-    ref_prior = registry.get(WHAT_FACTOR_ID).reference_prior
+    ref_prior = Categorical.uniform(len(WHAT_NAMES))
     addresses = [SpatialAddress(("room", f"agent-{i}")) for i in range(n)]
     models = [build_elephant_model(locations[i], noise=cfg.noise) for i in range(n)]
     envs = [ElephantRoomEnv(locations[i], true_what=true_what, noise=cfg.noise) for i in range(n)]
@@ -208,7 +193,7 @@ def run_collective(
     if cfg.share:
         if cfg.transport == "socket":
             hub = SocketHub()
-            endpoints = [connect_socket_endpoint(hub.address, f"agent-{i}") for i in range(n)]
+            endpoints = [SocketEndpoint(hub.address, f"agent-{i}") for i in range(n)]
         else:
             bus = MemoryBus()
             endpoints = [bus.endpoint(f"agent-{i}") for i in range(n)]

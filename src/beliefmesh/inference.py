@@ -2,8 +2,9 @@
 
 Fast: state posteriors by free-energy minimization (mean-field fixed point,
 with exact enumeration as the reference implementation). Slow: Dirichlet
-count updates on the likelihood and transition tensors. Slower: comparing
-whole models by their evidence.
+count updates on the likelihood and transition tensors. Slower: selecting
+among whole models by their evidence, the ln p(o) that exact_posterior
+returns with each posterior.
 """
 
 from __future__ import annotations
@@ -80,12 +81,6 @@ class MeanFieldResult:
     converged: bool
     iterations: int
     residual: float
-
-
-@dataclass(frozen=True)
-class ModelComparisonResult:
-    free_energies: np.ndarray
-    selected: int
 
 
 def _check_observation(m: GenerativeModel, obs: Sequence[int]) -> tuple[int, ...]:
@@ -283,35 +278,3 @@ def dirichlet_mean(counts: DirichletCounts) -> np.ndarray:
     axis 0 (outcomes, or next states)."""
     c = counts.counts
     return c / c.sum(axis=0, keepdims=True)
-
-
-def compare_models(
-    candidates: Sequence[GenerativeModel],
-    obs,
-) -> ModelComparisonResult:
-    """Rank candidate models by exact negative log evidence; lowest wins.
-
-    obs may be one observation (per-modality indices) or a list of independent
-    observations, whose evidences sum.
-    """
-    if len(candidates) == 0:
-        raise ValueError("need at least one candidate model")
-    trials = _as_trials(obs)
-    free_energies = np.empty(len(candidates))
-    for i, m in enumerate(candidates):
-        total = 0.0
-        for trial in trials:
-            _, log_ev = exact_posterior(m, trial)
-            total -= log_ev
-        free_energies[i] = total
-    selected = int(np.argmin(free_energies))
-    return ModelComparisonResult(free_energies=free_energies, selected=selected)
-
-
-def _as_trials(obs) -> list[tuple[int, ...]]:
-    seq = list(obs)
-    if not seq:
-        raise ValueError("need at least one observation")
-    if all(isinstance(x, (int, np.integer)) for x in seq):
-        return [tuple(seq)]
-    return [tuple(int(i) for i in trial) for trial in seq]

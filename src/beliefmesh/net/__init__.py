@@ -1,7 +1,7 @@
 """Inter-agent belief sharing: message types, wire codec, evidence fusion,
 source selection, and interchangeable transports."""
 
-from .messages import BeliefMessage, FactorSpec, SharedFactorRegistry, SpatialAddress
+from .messages import BeliefMessage, SpatialAddress
 from .codec import (
     BadMagic,
     CrcMismatch,
@@ -31,13 +31,10 @@ from .transport import (
     MemoryEndpoint,
     SocketEndpoint,
     SocketHub,
-    connect_socket_endpoint,
 )
 
 __all__ = [
     "BeliefMessage",
-    "FactorSpec",
-    "SharedFactorRegistry",
     "SpatialAddress",
     "BadMagic",
     "CrcMismatch",
@@ -63,5 +60,4 @@ __all__ = [
     "MemoryEndpoint",
     "SocketEndpoint",
     "SocketHub",
-    "connect_socket_endpoint",
 ]

@@ -34,7 +34,7 @@ def fuse_evidence(
     msgs: Iterable[BeliefMessage],
     own_log_evidence=None,
 ) -> Categorical:
-    """softmax(ln prior + own log-evidence + sum_i precision_i * log-evidence_i).
+    """q proportional to exp(ln prior + own log-evidence + sum_i precision_i * log-evidence_i).
 
     Order-independent and associative; an empty fusion returns the prior.
     """

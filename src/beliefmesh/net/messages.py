@@ -1,4 +1,4 @@
-"""Belief-sharing message types and the shared-factor registry."""
+"""Belief-sharing message types: the origin address and the wire unit."""
 
 from __future__ import annotations
 
@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..core import Categorical, NonFiniteError
+from ..core import NonFiniteError
 
 U32_MAX = 0xFFFFFFFF
 U64_MAX = 0xFFFFFFFFFFFFFFFF
@@ -96,35 +96,3 @@ class BeliefMessage:
     def __hash__(self):
         return hash((self.origin, self.factor_id, self.timestamp, self.precision,
                      self.log_evidence.tobytes()))
-
-
-@dataclass(frozen=True)
-class FactorSpec:
-    cardinality: int
-    description: str
-    reference_prior: Categorical
-
-    def __post_init__(self):
-        if self.cardinality < 2:
-            raise ValueError("shared factor cardinality must be >= 2")
-        if self.reference_prior.dim != self.cardinality:
-            raise ValueError("reference prior dimension must match cardinality")
-
-
-class SharedFactorRegistry:
-    """Out-of-band map from factor_id to what the id means. Agents must agree
-    on this before their messages can be interpreted."""
-
-    def __init__(self):
-        self._entries: dict[int, FactorSpec] = {}
-
-    def register(self, factor_id: int, spec: FactorSpec) -> None:
-        fid = int(factor_id)
-        if not (0 <= fid <= U32_MAX):
-            raise ValueError(f"factor_id {fid} outside u32 range")
-        if fid in self._entries:
-            raise ValueError(f"factor_id {fid} already registered")
-        self._entries[fid] = spec
-
-    def get(self, factor_id: int) -> FactorSpec:
-        return self._entries[int(factor_id)]

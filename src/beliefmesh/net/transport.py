@@ -305,9 +305,3 @@ class SocketEndpoint:
     def close(self) -> None:
         self._open = False
         self._sock.close()
-
-
-def connect_socket_endpoint(address: tuple[str, int], name: str = "") -> SocketEndpoint:
-    """Connect to a SocketHub; returns only once the hub will relay frames to
-    this endpoint (see SocketEndpoint)."""
-    return SocketEndpoint(address, name)

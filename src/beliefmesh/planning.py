@@ -119,7 +119,7 @@ def expected_free_energy(
 
 
 def policy_posterior(G: Sequence[float], E: Categorical, gamma: float) -> Categorical:
-    """softmax(ln E - gamma * G)."""
+    """q(pi) proportional to exp(ln E - gamma * G)."""
     g = np.asarray(G, dtype=np.float64)
     if gamma <= 0:
         raise NonPositiveGammaError(f"gamma must be > 0, got {gamma}")

@@ -9,7 +9,7 @@ from beliefmesh.config import (
     ConfigInvalidError,
     ExperimentConfig,
     config_from_dict,
-    load_config,
+    read_config_file,
 )
 
 
@@ -115,7 +115,7 @@ class TestLoadConfig:
     def test_load_happy_path(self, tmp_path):
         path = tmp_path / "exp.json"
         path.write_text(json.dumps({"scenario": "elephant", "agents": 3, "steps": 4}))
-        cfg = load_config(path)
+        cfg = config_from_dict(read_config_file(path))
         assert cfg.scenario == "elephant"
         assert cfg.agents == 3
         assert cfg.steps == 4
@@ -124,26 +124,26 @@ class TestLoadConfig:
         path = tmp_path / "exp.json"
         path.write_text("{not json")
         with pytest.raises(ConfigInvalidError, match="JSON"):
-            load_config(path)
+            config_from_dict(read_config_file(path))
 
     def test_load_rejects_missing_file(self, tmp_path):
         with pytest.raises(ConfigInvalidError, match="cannot read"):
-            load_config(tmp_path / "absent.json")
+            config_from_dict(read_config_file(tmp_path / "absent.json"))
 
     def test_load_rejects_undecodable_file(self, tmp_path):
         path = tmp_path / "exp.json"
         path.write_bytes(b"\xff\xfe{}")
         with pytest.raises(ConfigInvalidError, match="cannot read"):
-            load_config(path)
+            config_from_dict(read_config_file(path))
 
     def test_load_rejects_non_object(self, tmp_path):
         path = tmp_path / "exp.json"
         path.write_text("[1, 2]")
         with pytest.raises(ConfigInvalidError, match="JSON object"):
-            load_config(path)
+            config_from_dict(read_config_file(path))
 
     def test_load_rejects_unknown_keys(self, tmp_path):
         path = tmp_path / "exp.json"
         path.write_text(json.dumps({"scenario": "tmaze", "font": "comic sans"}))
         with pytest.raises(ConfigInvalidError, match="unknown key"):
-            load_config(path)
+            config_from_dict(read_config_file(path))

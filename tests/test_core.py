@@ -1,31 +1,20 @@
 """Probability primitives: hand-computed values and algebraic properties."""
 
-import json
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from beliefmesh.core import (
-    AllZeroError,
     Categorical,
     DimMismatchError,
     DirichletCounts,
     GenerativeModel,
-    InvalidModelError,
     NegativeEntryError,
-    NonFiniteError,
     Policy,
     entropy,
     js_divergence,
     kl_divergence,
-    load_model,
-    model_from_dict,
-    model_to_dict,
-    normalize,
-    save_model,
-    softmax,
     validate_model,
 )
 
@@ -38,56 +27,6 @@ def simplex(n, max_n=None):
             st.floats(1e-3, 1e3, allow_nan=False, allow_infinity=False), min_size=d, max_size=d
         )
     ).map(lambda w: np.array(w) / np.sum(w))
-
-
-class TestNormalize:
-    def test_scales_to_unit_sum(self):
-        c = normalize([2.0, 6.0])
-        np.testing.assert_allclose(c.probs, [0.25, 0.75])
-
-    def test_rejects_all_zero(self):
-        with pytest.raises(AllZeroError):
-            normalize([0.0, 0.0, 0.0])
-
-    def test_rejects_negative(self):
-        with pytest.raises(NegativeEntryError):
-            normalize([0.5, -0.1, 0.6])
-
-    def test_rejects_matrix(self):
-        with pytest.raises(DimMismatchError):
-            normalize(np.ones((2, 2)))
-
-    @given(simplex(1, 16))
-    def test_idempotent(self, p):
-        np.testing.assert_allclose(normalize(p).probs, normalize(normalize(p)).probs)
-
-
-class TestSoftmax:
-    def test_known_value(self):
-        # e^0 : e^{-ln 3} = 3 : 1
-        c = softmax([0.0, -np.log(3.0)])
-        np.testing.assert_allclose(c.probs, [0.75, 0.25], atol=1e-12)
-
-    def test_rejects_nan(self):
-        with pytest.raises(NonFiniteError):
-            softmax([0.0, np.nan])
-
-    def test_rejects_inf(self):
-        with pytest.raises(NonFiniteError):
-            softmax([np.inf, 0.0])
-
-    def test_extreme_logits_stay_finite(self):
-        c = softmax([1e6, 1e6 - 1.0])
-        assert np.isfinite(c.probs).all()
-        np.testing.assert_allclose(c.probs.sum(), 1.0)
-
-    @given(
-        st.lists(st.floats(-50, 50), min_size=2, max_size=8),
-        st.floats(-100, 100, allow_nan=False),
-    )
-    def test_shift_invariance(self, logits, shift):
-        z = np.array(logits)
-        np.testing.assert_allclose(softmax(z).probs, softmax(z + shift).probs, atol=1e-12)
 
 
 class TestEntropy:
@@ -243,36 +182,3 @@ class TestValidateModel:
     def test_d_dim_mismatch(self):
         m = tiny_model(D=(Categorical.uniform(3),))
         assert any(v.startswith("D[0]") for v in validate_model(m))
-
-
-class TestModelIO:
-    def test_roundtrip(self, tmp_path):
-        m = tiny_model()
-        path = tmp_path / "model.json"
-        save_model(m, path)
-        loaded = load_model(path)
-        assert loaded.factor_dims == m.factor_dims
-        np.testing.assert_array_equal(loaded.A[0], m.A[0])
-        np.testing.assert_array_equal(loaded.B[0], m.B[0])
-        assert loaded.policies == m.policies
-
-    def test_invalid_document_reports_violations(self, tmp_path):
-        doc = model_to_dict(tiny_model())
-        doc["A"][0][0][0] = 0.5  # break a column sum
-        path = tmp_path / "bad.json"
-        path.write_text(json.dumps(doc))
-        with pytest.raises(InvalidModelError) as exc:
-            load_model(path)
-        assert any("A[0]" in v for v in exc.value.violations)
-
-    def test_missing_field(self):
-        doc = model_to_dict(tiny_model())
-        del doc["E"]
-        with pytest.raises(InvalidModelError):
-            model_from_dict(doc)
-
-    def test_unknown_field(self):
-        doc = model_to_dict(tiny_model())
-        doc["extra"] = 1
-        with pytest.raises(InvalidModelError):
-            model_from_dict(doc)

@@ -82,6 +82,12 @@ class TestConstruction:
         with pytest.raises(GraphStructureError):
             FactorGraph([Variable("x", 2)], [Factor("f", ("x",), np.array([1.0, -0.5]))])
 
+    def test_rejects_repeated_variable(self):
+        # a factor's arguments are distinct variables; f(x, x) would be read as
+        # two independent copies of x and give p(x) = [0.36, 0.64], not [0.25, 0.75]
+        with pytest.raises(GraphStructureError, match="repeated"):
+            FactorGraph([Variable("x", 2)], [Factor("f", ("x", "x"), [[1.0, 5.0], [5.0, 3.0]])])
+
 
 class TestBuildDualGraph:
     def test_single_timestep_structure(self):
@@ -138,6 +144,13 @@ class TestBuildDualGraph:
 
         with pytest.raises(ValueError, match="control"):
             build_dual_graph(tiny_model(), [[0], [1]], controls=[[u]])
+
+    @pytest.mark.parametrize("row", [[], [0, 0]])
+    def test_rejects_control_row_of_wrong_width(self, row):
+        from test_core import tiny_model
+
+        with pytest.raises(ValueError, match="one per factor"):
+            build_dual_graph(tiny_model(), [[0], [1]], controls=[row])
 
 
 class TestSumProduct:

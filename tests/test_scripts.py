@@ -1,15 +1,26 @@
 """The example scripts run from a checkout, without an install, on their
-smallest settings; the log digest runs on four configs."""
+smallest settings; the log digest runs on four configs, and its output
+matches the pinned copy in tests/log_digest.txt."""
 
 import importlib.util
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+PINNED_DIGEST = Path(__file__).resolve().parent / "log_digest.txt"
+
+
+def load_log_digest():
+    spec = importlib.util.spec_from_file_location("log_digest", SCRIPTS / "log_digest.py")
+    log_digest = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(log_digest)
+    return log_digest
 
 
 @pytest.mark.parametrize(
@@ -35,9 +46,7 @@ def test_script_runs_and_reports(tmp_path, script, args, line):
 
 
 def test_log_digest_prints_one_stable_line_per_run(monkeypatch, capsys):
-    spec = importlib.util.spec_from_file_location("log_digest", SCRIPTS / "log_digest.py")
-    log_digest = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(log_digest)
+    log_digest = load_log_digest()
 
     def runs(ExperimentConfig):
         yield ExperimentConfig(scenario="tmaze", steps=2, seed=0, depth=1), None
@@ -55,3 +64,35 @@ def test_log_digest_prints_one_stable_line_per_run(monkeypatch, capsys):
     assert outputs[0] == outputs[1]
     assert [line.split()[0] for line in lines] == ["default", "flat", "default", "default"]
     assert len({line.split()[-1] for line in lines}) == 4  # one distinct sha256 per run
+
+
+def test_log_digest_matches_pinned_output(monkeypatch, capsys):
+    """Every digest run but the n = 64 ones gives the pinned line.
+
+    The pin's first line names the Python and numpy versions it was made
+    under; the manifests embed both, so under others the comparison skips.
+    A change meant to alter the logs re-pins with
+    (echo "# python X.Y.Z numpy A.B.C"; python3 scripts/log_digest.py) > tests/log_digest.txt
+    """
+    header, *pinned = PINNED_DIGEST.read_text(encoding="utf-8").splitlines()
+    want_versions = re.fullmatch(r"# python (\S+) numpy (\S+)", header).groups()
+    have_versions = (".".join(str(v) for v in sys.version_info[:3]), np.__version__)
+    if have_versions != want_versions:
+        pytest.skip(
+            f"pinned under python {want_versions[0]}, numpy {want_versions[1]}; "
+            f"running python {have_versions[0]}, numpy {have_versions[1]}"
+        )
+
+    log_digest = load_log_digest()
+    all_runs = log_digest.runs
+
+    def runs(ExperimentConfig):
+        return ((cfg, variant) for cfg, variant in all_runs(ExperimentConfig) if cfg.agents != 64)
+
+    monkeypatch.setattr(log_digest, "runs", runs)
+    monkeypatch.setattr(sys, "path", list(sys.path))  # main() prepends --src
+    assert log_digest.main([]) == 0
+    got = capsys.readouterr().out.splitlines()
+    want = [line for line in pinned if "'agents': 64," not in line]
+    assert len(want) == 182
+    assert got == want

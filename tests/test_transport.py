@@ -13,9 +13,9 @@ from beliefmesh.net import (
     ClosedError,
     FrameTooLargeError,
     MemoryBus,
+    SocketEndpoint,
     SocketHub,
     SpatialAddress,
-    connect_socket_endpoint,
     encode_message,
 )
 from beliefmesh.net import transport
@@ -105,9 +105,9 @@ class TestSocketHub:
     def test_fifo_and_broadcast(self):
         hub = SocketHub()
         try:
-            a = connect_socket_endpoint(hub.address, "a")
-            b = connect_socket_endpoint(hub.address, "b")
-            c = connect_socket_endpoint(hub.address, "c")
+            a = SocketEndpoint(hub.address, "a")
+            b = SocketEndpoint(hub.address, "b")
+            c = SocketEndpoint(hub.address, "c")
             a.send(msg("a", 1))
             a.send(msg("a", 2))
             b.send(msg("b", 10))
@@ -124,8 +124,8 @@ class TestSocketHub:
     def test_no_self_delivery(self):
         hub = SocketHub()
         try:
-            a = connect_socket_endpoint(hub.address, "a")
-            b = connect_socket_endpoint(hub.address, "b")
+            a = SocketEndpoint(hub.address, "a")
+            b = SocketEndpoint(hub.address, "b")
             a.send(msg("a", 1))
             assert [m.timestamp for m in b.poll(expect=1)] == [1]
             assert a.poll(timeout=0.1) == []
@@ -137,8 +137,8 @@ class TestSocketHub:
     def test_garbage_frame_surfaced_then_valid_frames_still_flow(self):
         hub = SocketHub()
         try:
-            a = connect_socket_endpoint(hub.address, "a")
-            b = connect_socket_endpoint(hub.address, "b")
+            a = SocketEndpoint(hub.address, "a")
+            b = SocketEndpoint(hub.address, "b")
             a.send_raw(b"\xff\xfegarbage")
             a.send(msg("a", 3))
             got = b.poll(expect=1, timeout=5.0)
@@ -152,9 +152,9 @@ class TestSocketHub:
     def test_oversized_announcement_drops_only_that_connection(self):
         hub = SocketHub()
         try:
-            a = connect_socket_endpoint(hub.address, "a")
-            b = connect_socket_endpoint(hub.address, "b")
-            c = connect_socket_endpoint(hub.address, "c")
+            a = SocketEndpoint(hub.address, "a")
+            b = SocketEndpoint(hub.address, "b")
+            c = SocketEndpoint(hub.address, "c")
             # a raw header announcing an impossible frame: hub must cut 'a' off
             a._sock.sendall(struct.pack("<I", 2**20 + 1))
             b.send(msg("b", 4))
@@ -168,7 +168,7 @@ class TestSocketHub:
     def test_connect_returns_only_once_the_hub_relays_to_it(self):
         hub = SocketHub()
         try:
-            a = connect_socket_endpoint(hub.address, "a")
+            a = SocketEndpoint(hub.address, "a")
             # stall the hub's accept step; connecting must wait it out
             accept = hub._accept
 
@@ -178,7 +178,7 @@ class TestSocketHub:
 
             hub._accept = stalled_accept
             start = time.monotonic()
-            b = connect_socket_endpoint(hub.address, "b")
+            b = SocketEndpoint(hub.address, "b")
             assert time.monotonic() - start >= 0.3
             a.send(msg("a", 1))
             assert [m.timestamp for m in b.poll(expect=1, timeout=5.0)] == [1]
@@ -190,7 +190,7 @@ class TestSocketHub:
     def test_closed_endpoint_raises(self):
         hub = SocketHub()
         try:
-            a = connect_socket_endpoint(hub.address, "a")
+            a = SocketEndpoint(hub.address, "a")
             a.close()
             with pytest.raises(ClosedError):
                 a.send(msg("a", 1))
@@ -200,7 +200,7 @@ class TestSocketHub:
     def test_wire_frames_are_length_prefixed_codec_output(self):
         hub = SocketHub()
         try:
-            a = connect_socket_endpoint(hub.address, "a")
+            a = SocketEndpoint(hub.address, "a")
             # a plain TCP client sees the ack byte, then u32 length + payload
             with socket.create_connection(hub.address, timeout=5.0) as raw:
                 wire = raw.makefile("rb")
@@ -216,7 +216,7 @@ class TestSocketHub:
 
     def test_poll_returns_as_soon_as_the_hub_closes(self):
         hub = SocketHub()
-        a = connect_socket_endpoint(hub.address, "a")
+        a = SocketEndpoint(hub.address, "a")
         timer = threading.Timer(0.2, hub.close)
         timer.start()
         try:
@@ -231,7 +231,7 @@ class TestSocketHub:
 
     def test_send_to_a_vanished_hub_raises_closed_error(self):
         hub = SocketHub()
-        a = connect_socket_endpoint(hub.address, "a")
+        a = SocketEndpoint(hub.address, "a")
         hub.close()
         with pytest.raises(ClosedError):
             for tick in range(100):  # the first send may still fit in the socket buffer
@@ -243,8 +243,8 @@ class TestSocketHub:
         # hub must buffer rather than block, or sender and hub would deadlock
         hub = SocketHub()
         try:
-            a = connect_socket_endpoint(hub.address, "a")
-            b = connect_socket_endpoint(hub.address, "b")
+            a = SocketEndpoint(hub.address, "a")
+            b = SocketEndpoint(hub.address, "b")
             rng = np.random.default_rng(0)
             sent = [msg("a", t, rng.standard_normal(0xFFFF)) for t in range(4)]
             for m in sent:
@@ -263,7 +263,7 @@ class TestSocketHandshake:
         server = socket.create_server(("127.0.0.1", 0))
         try:
             with pytest.raises(ClosedError, match="no acknowledgement"):
-                connect_socket_endpoint(server.getsockname(), "a")
+                SocketEndpoint(server.getsockname(), "a")
         finally:
             server.close()
 
@@ -279,7 +279,7 @@ class TestSocketHandshake:
         t.start()
         try:
             with pytest.raises(ClosedError, match="bad acknowledgement"):
-                connect_socket_endpoint(server.getsockname(), "a")
+                SocketEndpoint(server.getsockname(), "a")
         finally:
             t.join(5.0)
             server.close()
@@ -290,7 +290,7 @@ class TestSocketClose:
         start = threading.active_count()
         before = set(threading.enumerate())
         hub = SocketHub()
-        eps = [connect_socket_endpoint(hub.address, name) for name in "abc"]
+        eps = [SocketEndpoint(hub.address, name) for name in "abc"]
         eps[0].send(msg("a", 1))
         eps[1].send(msg("b", 2))
         assert sorted(m.timestamp for m in eps[2].poll(expect=2, timeout=5.0)) == [1, 2]
