@@ -12,7 +12,6 @@ import csv
 import json
 import sys
 from dataclasses import dataclass, field
-from itertools import combinations
 from pathlib import Path
 
 import numpy as np
@@ -22,9 +21,10 @@ from .config import ExperimentConfig
 from .core import (
     BeliefState,
     Categorical,
+    DimMismatchError,
     GenerativeModel,
     Policy,
-    js_divergence,
+    _as_vector,
 )
 from .envs import (
     ELEPHANT,
@@ -85,17 +85,27 @@ class RunResult:
     extras: dict = field(default_factory=dict)
 
 
-def synchrony(p, q) -> float:
-    """Jensen-Shannon divergence between two belief vectors; 0 means aligned,
-    ln 2 means disjoint support."""
-    return max(0.0, js_divergence(p, q))
+def _kl_rows(q: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """core.kl_divergence of each row pair, summed in its order. Where q > 0
+    meets p = 0, ln 0 = -inf makes the row +inf, as core's explicit check does."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(q > 0, q * (np.log(q) - np.log(p)), 0.0).sum(axis=1)
 
 
 def mean_pairwise_synchrony(beliefs) -> float:
-    pairs = list(combinations(beliefs, 2))
-    if not pairs:
+    """Mean over all pairs of core.js_divergence clamped at 0, bit for bit;
+    0 means aligned, ln 2 means disjoint support."""
+    beliefs = list(beliefs)
+    if len(beliefs) < 2:
         return 0.0
-    return float(np.mean([synchrony(a, b) for a, b in pairs]))
+    vectors = [_as_vector(b) for b in beliefs]
+    if len({v.size for v in vectors}) > 1:
+        raise DimMismatchError(f"beliefs differ in dimension: {[v.size for v in vectors]}")
+    # pairs in the order of itertools.combinations
+    a, b = np.stack(vectors)[np.vstack(np.triu_indices(len(vectors), k=1))]
+    mid = 0.5 * (a + b)
+    js = 0.5 * _kl_rows(a, mid) + 0.5 * _kl_rows(b, mid)
+    return float(np.mean(np.where(js > 0.0, js, 0.0)))
 
 
 def _action_prior(m: GenerativeModel, actions) -> np.ndarray:

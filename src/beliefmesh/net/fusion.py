@@ -84,14 +84,18 @@ def select_sources(
     k: int,
 ) -> list:
     """Ids of the k sources with the greatest expected information gain,
-    descending; exact ties go to the lower id."""
+    descending; exact ties go to the lower id. Each distinct likelihood is scored once."""
     if k < 1:
         raise ValueError("k must be >= 1")
     if k > len(sources):
         raise KTooLargeError(f"k={k} but only {len(sources)} sources")
-    scored = [
-        (expected_info_gain_of_source(belief, likelihood), sid)
-        for sid, likelihood in sources
-    ]
+    gains, scored = {}, []
+    for sid, likelihood in sources:
+        lk = np.asarray(likelihood, dtype=np.float64)
+        # strides too: lk @ q sums a strided view in another order than a copy
+        key = (lk.shape, lk.strides, lk.tobytes())
+        if key not in gains:
+            gains[key] = expected_info_gain_of_source(belief, lk)
+        scored.append((gains[key], sid))
     scored.sort(key=lambda pair: (-pair[0], pair[1]))
     return [sid for _, sid in scored[:k]]

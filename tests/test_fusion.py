@@ -16,6 +16,7 @@ from beliefmesh.net import (
     fuse_evidence,
     select_sources,
 )
+import collective_reference
 from info_gain_reference import source_info_gain
 
 
@@ -241,3 +242,77 @@ class TestSelectSources:
             gains = {i: source_info_gain(belief, lk) for i, lk in sources}
             want = sorted(gains, key=lambda i: (-gains[i], i))[:k]
             assert got == want
+
+
+class TestSelectSourcesAgainstReference:
+    """select_sources scores each distinct likelihood once; the reference
+    scores every source. Both must give the same ids in the same order."""
+
+    @staticmethod
+    def assert_same_for_every_k(belief, sources):
+        for k in range(1, len(sources) + 1):
+            assert select_sources(belief, sources, k) == collective_reference.select_sources(
+                belief, sources, k
+            )
+
+    def test_repeated_likelihoods_as_copies_views_and_one_object(self):
+        # lk @ q sums a strided view and a contiguous copy in different
+        # orders, so equal entries in another layout may score another float
+        rng = np.random.default_rng(89)
+        for _ in range(60):
+            d, n_out = int(rng.integers(2, 5)), int(rng.integers(2, 5))
+            stack = rng.dirichlet(np.ones(n_out), size=(d, 3)).transpose(2, 0, 1).copy()
+            views = [stack[:, :, loc] for loc in range(3)]
+            layouts = (
+                lambda lk: lk,
+                np.copy,
+                np.asfortranarray,
+                lambda lk: lk.tolist(),
+                lambda lk: lk[...],
+            )
+            sources = [
+                (int(sid), layouts[int(rng.integers(len(layouts)))](views[int(rng.integers(3))]))
+                for sid in rng.permutation(10)
+            ]
+            belief = Categorical(rng.dirichlet(np.ones(d)))
+            self.assert_same_for_every_k(belief, sources)
+            self.assert_same_for_every_k(Categorical.uniform(d), sources)
+
+    @pytest.mark.parametrize("n", [3, 7, 12])
+    def test_elephant_sources_at_uniform_and_solo_beliefs(self, n):
+        # built as run_collective builds them; at a uniform belief every
+        # vantage point scores the same gain, so the order is all ties
+        models = [build_elephant_model(i % 3) for i in range(n)]
+        rng = np.random.default_rng(97)
+        beliefs = [Categorical.uniform(3)] + [
+            Categorical(rng.dirichlet(np.ones(3))) for _ in range(5)
+        ]
+        for i in range(n):
+            sources = [(j, models[j].A[0][:, :, j % 3]) for j in range(n) if j != i]
+            for belief in beliefs:
+                self.assert_same_for_every_k(belief, sources)
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            np.ones((2, 2)),  # columns sum to 2
+            np.array([[1.5, 0.0], [-0.5, 1.0]]),  # a negative entry
+            np.eye(3),  # wrong state dimension
+            np.array([0.5, 0.5]),  # not a matrix
+            np.eye(2).reshape(1, 4),  # the bytes of a good source, another shape
+            np.eye(2).reshape(4, 1),
+        ],
+    )
+    def test_bad_likelihood_raises_as_the_reference_does(self, bad):
+        good = np.eye(2)
+        for sources in (
+            [(1, good), (2, bad)],
+            [(1, bad), (2, good)],
+            [(1, good), (2, bad), (3, bad.copy()), (4, good.copy())],
+            [(1, bad), (2, bad)],
+        ):
+            with pytest.raises(ValueError) as want:
+                collective_reference.select_sources(Categorical.uniform(2), sources, 1)
+            with pytest.raises(ValueError) as got:
+                select_sources(Categorical.uniform(2), sources, 1)
+            assert type(got.value) is type(want.value)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from beliefmesh.config import ExperimentConfig
-from beliefmesh.core import BeliefState, Categorical, Policy
+from beliefmesh.core import BeliefState, Categorical, DimMismatchError, Policy, js_divergence
 from beliefmesh.envs import (
     ELEPHANT,
     TMAZE_CUE,
@@ -26,11 +26,11 @@ from beliefmesh.harness import (
     run_collective,
     run_experiment,
     run_single_agent,
-    synchrony,
     write_logs,
 )
 from beliefmesh.net import MemoryBus, SpatialAddress, decode_message, encode_message
 from beliefmesh.planning import expected_free_energy, expected_states
+import collective_reference
 
 
 def tmaze_cfg(**kw):
@@ -45,13 +45,17 @@ def elephant_cfg(**kw):
     return ExperimentConfig(**base)
 
 
+def pair_synchrony(p, q) -> float:
+    return mean_pairwise_synchrony([p, q])
+
+
 class TestSynchrony:
     def test_identical_beliefs_score_zero(self):
         p = np.array([0.2, 0.3, 0.5])
-        assert synchrony(p, p) == 0.0
+        assert pair_synchrony(p, p) == 0.0
 
     def test_disjoint_deltas_score_ln_two(self):
-        assert synchrony(np.array([1.0, 0.0]), np.array([0.0, 1.0])) == pytest.approx(
+        assert pair_synchrony(np.array([1.0, 0.0]), np.array([0.0, 1.0])) == pytest.approx(
             math.log(2), abs=1e-12
         )
 
@@ -60,18 +64,17 @@ class TestSynchrony:
         for _ in range(20):
             p = rng.dirichlet(np.ones(4))
             q = rng.dirichlet(np.ones(4))
-            assert synchrony(p, q) == pytest.approx(synchrony(q, p), abs=1e-15)
+            assert pair_synchrony(p, q) == pytest.approx(pair_synchrony(q, p), abs=1e-15)
+            assert pair_synchrony(p, q) == max(0.0, js_divergence(p, q))
 
     def test_accepts_categoricals_and_rejects_dim_mismatch(self):
-        from beliefmesh.core import DimMismatchError
-
-        assert synchrony(Categorical.uniform(3), Categorical.uniform(3)) == 0.0
+        assert pair_synchrony(Categorical.uniform(3), Categorical.uniform(3)) == 0.0
         with pytest.raises(DimMismatchError):
-            synchrony(np.array([0.5, 0.5]), np.array([0.2, 0.3, 0.5]))
+            pair_synchrony(np.array([0.5, 0.5]), np.array([0.2, 0.3, 0.5]))
 
     def test_hand_value_for_disjoint_overlap(self):
         # JS([.5,.5,0], [.5,0,.5]): each KL to the midpoint is .5 ln 2
-        got = synchrony(np.array([0.5, 0.5, 0.0]), np.array([0.5, 0.0, 0.5]))
+        got = pair_synchrony(np.array([0.5, 0.5, 0.0]), np.array([0.5, 0.0, 0.5]))
         assert got == pytest.approx(0.5 * math.log(2), abs=1e-12)
 
     def test_mean_pairwise_averages_all_pairs(self):
@@ -85,6 +88,65 @@ class TestSynchrony:
 
     def test_single_belief_scores_zero(self):
         assert mean_pairwise_synchrony([np.array([1.0, 0.0])]) == 0.0
+
+
+class TestSynchronyAgainstReference:
+    """The array-op synchrony equals the pair-by-pair reference with ==."""
+
+    @pytest.mark.parametrize("n", range(13))
+    def test_random_beliefs_with_zero_entries(self, n):
+        rng = np.random.default_rng(100 + n)
+        for _ in range(30):
+            d = int(rng.integers(1, 10))
+            beliefs = []
+            for _ in range(n):
+                p = rng.dirichlet(np.full(d, 10.0 ** rng.uniform(-2, 1)))
+                p[rng.random(d) < 0.3] = 0.0
+                p[int(rng.integers(d))] += 1e-3
+                beliefs.append(p / p.sum())
+            if n and rng.random() < 0.2:
+                beliefs[-1] = beliefs[0]
+            got = mean_pairwise_synchrony(beliefs)
+            assert got == collective_reference.mean_pairwise_synchrony(beliefs)
+
+    def test_midpoint_underflow_scores_inf_like_the_reference(self):
+        # 0.5 * (5e-324 + 0) rounds to 0: KL puts q > 0 on a zero midpoint
+        beliefs = [np.array([1.0, 5e-324]), np.array([1.0, 0.0]), np.array([0.5, 0.5])]
+        assert collective_reference.mean_pairwise_synchrony(beliefs) == math.inf
+        assert mean_pairwise_synchrony(beliefs) == math.inf
+
+    @pytest.mark.parametrize(
+        "kw",
+        [
+            dict(agents=3, noise=0.1),
+            dict(agents=7, noise=0.2, k=2, seed=4),
+            dict(agents=12, noise=0.25, share=False, seed=2),
+            dict(agents=12, noise=0.1, k=5, seed=1),
+        ],
+    )
+    def test_beliefs_of_real_rounds(self, kw):
+        r = run_collective(elephant_cfg(steps=4, **kw))
+        for t, logged in enumerate(r.synchrony_series):
+            beliefs = [traj.records[t].beliefs[0] for traj in r.trajectories]
+            want = collective_reference.mean_pairwise_synchrony(beliefs)
+            assert mean_pairwise_synchrony(beliefs) == want
+            assert logged == want
+
+    @pytest.mark.parametrize(
+        "beliefs",
+        [
+            [np.array([0.5, 0.5]), np.array([0.2, 0.3, 0.5])],
+            [[0.5, 0.5], [0.2, 0.3, 0.5], [1.0, 0.0]],  # ragged: np.asarray would raise ValueError
+            [Categorical.uniform(2), Categorical.uniform(2), Categorical.uniform(4)],
+            [np.array([[0.5, 0.5]]), np.array([[0.5, 0.5]])],
+            [np.array([]), np.array([])],
+        ],
+    )
+    def test_bad_beliefs_raise_dim_mismatch(self, beliefs):
+        with pytest.raises(DimMismatchError):
+            collective_reference.mean_pairwise_synchrony(beliefs)
+        with pytest.raises(DimMismatchError):
+            mean_pairwise_synchrony(beliefs)
 
 
 class TestHelpers:

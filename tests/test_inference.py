@@ -18,6 +18,7 @@ from beliefmesh.inference import (
     update_transition_counts,
     variational_free_energy,
 )
+import mean_field_reference
 from modelgen import random_belief, random_model, random_observation
 
 
@@ -255,6 +256,20 @@ class TestInferStates:
         np.testing.assert_allclose(
             result.belief.factors[0].probs, exact.factors[0].probs, atol=1e-6
         )
+
+    def test_matches_the_reference_loop_bit_for_bit(self):
+        # coupled two-factor models take tens of damped sweeps, so a changed
+        # damping or sweep order moves the belief or the counts
+        rng = np.random.default_rng(0)
+        for _ in range(20):
+            m = random_model(rng, num_factors=2, num_modalities=2)
+            obs = random_observation(rng, m)
+            got = infer_states(m, obs)
+            want = mean_field_reference.infer_states(m, obs)
+            assert got.iterations > 20
+            assert (got.iterations, got.converged) == (want.iterations, want.converged)
+            for a, b in zip(got.belief.arrays(), want.belief.arrays()):
+                assert np.array_equal(a, b)
 
 
 class TestLikelihoodLearning:
