@@ -4,7 +4,7 @@ Layout:
     core          probability primitives and the generative model container
     inference     perception, Dirichlet learning, model evidence by enumeration
     planning      expected free energy and depth-limited recursive planning
-    factor_graph  dual factor graph of a model and sum-product message passing
+    factor_graph  tree factor graphs and exact sum-product message passing
     net           belief messages: codec, evidence fusion, transports
     envs          T-maze and elephant-room environments plus matching models
     harness       seeded experiment loops, synchrony metrics, CSV logging

@@ -1,11 +1,10 @@
-"""Factor graphs dual to generative models, and sum-product message passing.
+"""Tree factor graphs and exact sum-product message passing.
 
-A graph holds variable nodes (one per hidden factor per timestep) and factor
-nodes (priors, clamped likelihoods, transitions), and nothing else: no
-messages, no run state. `sum_product` is a pure function of a graph and a
-schedule that returns the marginals, whether the run converged, the iteration
-count and the final messages. Two schedules: an exact single sweep pair for
-trees, and damped flooding for loopy graphs.
+A graph holds variable nodes and factor nodes (tables over their variables),
+and nothing else: no messages, no run state. `sum_product` is a pure function
+of an acyclic graph that returns every variable's marginal and the final
+messages, from one sweep leaves-to-root and one root-to-leaves; on a tree
+that pair of sweeps is exact.
 """
 
 from __future__ import annotations
@@ -16,10 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import Categorical, GenerativeModel, log_stable, normalized_exp
-
-# Weight of the old log-message in each damped flooding update.
-DAMPING = 0.5
+from .core import Categorical
 
 
 class GraphStructureError(ValueError):
@@ -27,7 +23,7 @@ class GraphStructureError(ValueError):
 
 
 class CyclicWithTreeSweepError(ValueError):
-    """Tree-sweep schedule on a graph with a cycle."""
+    """Tree sweep asked of a graph with a cycle."""
 
 
 @dataclass(frozen=True)
@@ -50,25 +46,8 @@ class Factor:
 
 
 @dataclass(frozen=True)
-class Schedule:
-    mode: str = "flooding"
-    max_iters: int = 100
-    tol: float = 1e-8
-
-    def __post_init__(self):
-        if self.mode not in ("tree-sweep", "flooding"):
-            raise ValueError(f"unknown schedule mode {self.mode!r}")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
-        if self.tol <= 0:
-            raise ValueError("tol must be > 0")
-
-
-@dataclass(frozen=True)
 class SumProductResult:
     marginals: dict[str, Categorical]
-    converged: bool
-    iterations: int
     messages: dict[tuple[str, str], np.ndarray]
 
 
@@ -127,15 +106,6 @@ class FactorGraph:
                         f"variable {vid} has cardinality {want}"
                     )
 
-    def edge_list(self) -> str:
-        """Plain-text dump of structure: node declarations then edges."""
-        lines = [f"var {v.id} {v.cardinality}" for v in self.variables]
-        lines += [f"factor {f.id} {len(f.var_ids)}" for f in self.factors]
-        for f in self.factors:
-            for vid in f.var_ids:
-                lines.append(f"edge {f.id} {vid}")
-        return "\n".join(lines) + "\n"
-
     def _incoming(self, vid: str, skip: str | None, msgs) -> np.ndarray:
         """Product of the messages into variable vid from every factor but skip."""
         out = np.ones(self._vars[vid].cardinality)
@@ -162,40 +132,16 @@ class FactorGraph:
         return out / total
 
 
-def sum_product(g: FactorGraph, schedule: Schedule | None = None) -> SumProductResult:
-    """Marginals of every variable; the graph is only read, never changed."""
-    s = schedule or Schedule()
+def sum_product(g: FactorGraph) -> SumProductResult:
+    """Exact marginals of every variable of a tree; the graph is only read, never changed."""
+    if sum(len(f.var_ids) for f in g.factors) != len(g.variables) + len(g.factors) - 1:
+        raise CyclicWithTreeSweepError("sum-product tree sweep requires an acyclic graph")
+    # leaves to root, then root to leaves: every message's inputs come first
+    upward = [(node, p) for node, p in reversed(g._parent.items()) if p is not None]
+    downward = [(p, node) for node, p in g._parent.items() if p is not None]
     msgs: dict[tuple[str, str], np.ndarray] = {}
-    if s.mode == "tree-sweep":
-        if sum(len(f.var_ids) for f in g.factors) != len(g.variables) + len(g.factors) - 1:
-            raise CyclicWithTreeSweepError(
-                "tree-sweep schedule requires an acyclic graph; use flooding"
-            )
-        # leaves to root, then root to leaves: every message's inputs come first
-        upward = [(node, p) for node, p in reversed(g._parent.items()) if p is not None]
-        downward = [(p, node) for node, p in g._parent.items() if p is not None]
-        for src, dst in upward + downward:
-            msgs[(src, dst)] = g._message(src, dst, msgs)
-        converged, iterations = True, 1
-    else:
-        for f in g.factors:
-            for vid in f.var_ids:
-                card = g._vars[vid].cardinality
-                msgs[(vid, f.id)] = np.full(card, 1.0 / card)
-                msgs[(f.id, vid)] = np.full(card, 1.0 / card)
-        for iterations in range(1, s.max_iters + 1):
-            old = msgs
-            msgs, residual = {}, 0.0
-            for key in old:
-                new = g._message(*key, old)
-                mixed = normalized_exp(
-                    DAMPING * log_stable(old[key]) + (1.0 - DAMPING) * log_stable(new)
-                )
-                residual = max(residual, float(np.max(np.abs(mixed - old[key]))))
-                msgs[key] = mixed
-            if residual < s.tol:
-                break
-        converged = residual < s.tol
+    for src, dst in upward + downward:
+        msgs[(src, dst)] = g._message(src, dst, msgs)
     marginals = {}
     for v in g.variables:
         out = g._incoming(v.id, None, msgs)
@@ -203,80 +149,4 @@ def sum_product(g: FactorGraph, schedule: Schedule | None = None) -> SumProductR
         if total <= 0:
             raise ZeroDivisionError(f"variable {v.id}: all marginal mass vanished")
         marginals[v.id] = Categorical(out / total)
-    return SumProductResult(
-        marginals=marginals, converged=converged, iterations=iterations, messages=msgs
-    )
-
-
-def _normalize_observations(m: GenerativeModel, obs) -> list[list[int | None]]:
-    M = m.num_modalities
-    if obs is None:
-        return [[None] * M]
-    seq = list(obs)
-    if not seq:
-        raise ValueError("observations must cover at least one timestep")
-    if len(seq) == M and all(x is None or isinstance(x, (int, np.integer)) for x in seq):
-        seq = [seq]
-    steps = []
-    for step in seq:
-        row = list(step)
-        if len(row) != M:
-            raise ValueError(f"each timestep needs {M} outcome entries, got {len(row)}")
-        row = [None if x is None else int(x) for x in row]
-        for mm, (o, n) in enumerate(zip(row, m.modality_dims)):
-            if o is not None and not 0 <= o < n:
-                raise ValueError(f"outcome {o} for modality {mm} outside [0, {n})")
-        steps.append(row)
-    return steps
-
-
-def build_dual_graph(
-    m: GenerativeModel,
-    obs=None,
-    controls: Sequence[Sequence[int]] | None = None,
-) -> FactorGraph:
-    """Graph mirroring a model: one variable per hidden factor per timestep,
-    unary prior factors at t=0, likelihood factors clamped by slicing when a
-    modality is observed (an unobserved modality keeps a constant table so
-    the graph stays connected), and pairwise transition factors between
-    consecutive timesteps.
-
-    obs: per-modality outcome indices (None = unobserved) for one timestep,
-    or a list of such rows for a multi-timestep chain. controls: per
-    transition, per factor control indices (defaults to control 0).
-    """
-    steps = _normalize_observations(m, obs)
-    T = len(steps)
-    if controls is None:
-        controls = [[0] * m.num_factors for _ in range(T - 1)]
-    if len(controls) != T - 1:
-        raise ValueError(f"need {T - 1} control rows for {T} timesteps")
-    if any(len(row) != m.num_factors for row in controls):
-        raise ValueError(f"every control row needs {m.num_factors} entries, one per factor")
-
-    variables = [
-        Variable(id=f"s{f}@t{t}", cardinality=m.factor_dims[f])
-        for t in range(T)
-        for f in range(m.num_factors)
-    ]
-    factors: list[Factor] = []
-    for f in range(m.num_factors):
-        factors.append(Factor(id=f"D{f}", var_ids=(f"s{f}@t0",), table=m.D[f].probs))
-    for t, row in enumerate(steps):
-        state_vars = tuple(f"s{f}@t{t}" for f in range(m.num_factors))
-        for mm, o in enumerate(row):
-            table = m.A[mm][o] if o is not None else np.ones(m.factor_dims)
-            factors.append(Factor(id=f"A{mm}@t{t}", var_ids=state_vars, table=table))
-    for t in range(T - 1):
-        for f in range(m.num_factors):
-            u = int(controls[t][f])
-            if not 0 <= u < m.num_controls[f]:
-                raise ValueError(f"control {u} for factor {f} outside [0, {m.num_controls[f]})")
-            factors.append(
-                Factor(
-                    id=f"B{f}@t{t}",
-                    var_ids=(f"s{f}@t{t}", f"s{f}@t{t + 1}"),
-                    table=m.B[f][:, :, u].T,
-                )
-            )
-    return FactorGraph(variables, factors)
+    return SumProductResult(marginals=marginals, messages=msgs)

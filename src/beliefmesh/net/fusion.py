@@ -57,7 +57,8 @@ def fuse_evidence(
 
 
 def _check_source_likelihood(belief: Categorical, likelihood) -> np.ndarray:
-    lk = np.asarray(likelihood, dtype=np.float64)
+    # contiguous, so lk @ q sums in one order whatever the caller's layout
+    lk = np.ascontiguousarray(likelihood, dtype=np.float64)
     if lk.ndim != 2 or lk.shape[1] != belief.dim:
         raise DimMismatchError(
             f"source likelihood shape {lk.shape} incompatible with belief dim {belief.dim}"
@@ -92,8 +93,7 @@ def select_sources(
     gains, scored = {}, []
     for sid, likelihood in sources:
         lk = np.asarray(likelihood, dtype=np.float64)
-        # strides too: lk @ q sums a strided view in another order than a copy
-        key = (lk.shape, lk.strides, lk.tobytes())
+        key = (lk.shape, lk.tobytes())
         if key not in gains:
             gains[key] = expected_info_gain_of_source(belief, lk)
         scored.append((gains[key], sid))

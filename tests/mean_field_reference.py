@@ -1,10 +1,10 @@
 """Reference mean-field fixed point: the loop of inference.infer_states,
 copied unchanged, with its damping and log floor held here as constants.
 
-Kept so a change to the library's loop or its damping shows up as a
-different belief, iteration count or convergence flag on random two-factor
-models, which reach neither an exact delta nor a uniform belief. Their
-likelihoods have no zeros, so the floor is not exercised there.
+Kept so a change to the library's loop, its damping or its log floor shows
+up as a different belief, iteration count or convergence flag on random
+two-factor models, which reach neither an exact delta nor a uniform belief.
+The floor is exercised by the models whose likelihoods have hard zeros.
 """
 
 from __future__ import annotations

@@ -25,7 +25,7 @@ from beliefmesh.envs import (
     build_tmaze_model,
     pooled_elephant_posterior,
 )
-from beliefmesh.factor_graph import Schedule, sum_product
+from beliefmesh.factor_graph import sum_product
 from beliefmesh.harness import run_collective, run_single_agent, write_logs
 from beliefmesh.inference import (
     dirichlet_mean,
@@ -124,7 +124,7 @@ def test_criterion_3_oracle_equivalence():
     for _ in range(50):
         g = random_tree_graph(rng)
         expected = oracle_marginals(g)
-        got = sum_product(g, Schedule(mode="tree-sweep"))
+        got = sum_product(g)
         for vid, probs in expected.items():
             err = float(np.abs(got.marginals[vid].probs - probs).sum())
             assert err < 1e-10

@@ -5,16 +5,13 @@ from itertools import product
 import numpy as np
 import pytest
 
-from beliefmesh.core import Categorical
 from beliefmesh.factor_graph import (
     CyclicWithTreeSweepError,
     Factor,
     FactorGraph,
     GraphStructureError,
-    Schedule,
     SumProductResult,
     Variable,
-    build_dual_graph,
     sum_product,
 )
 from beliefmesh.inference import exact_posterior, infer_states
@@ -89,68 +86,16 @@ class TestConstruction:
             FactorGraph([Variable("x", 2)], [Factor("f", ("x", "x"), [[1.0, 5.0], [5.0, 3.0]])])
 
 
-class TestBuildDualGraph:
-    def test_single_timestep_structure(self):
-        rng = np.random.default_rng(3)
-        m = random_model(rng, num_factors=2, num_modalities=1)
-        g = build_dual_graph(m, random_observation(rng, m))
-        assert len(g.variables) == 2
-        assert len(g.factors) == 3  # two priors + one clamped likelihood
 
-    def test_chain_structure(self):
-        rng = np.random.default_rng(4)
-        m = random_model(rng, num_factors=1, num_modalities=1)
-        obs = [[0], [1], [0]]
-        g = build_dual_graph(m, obs, controls=[[0], [0]])
-        assert len(g.variables) == 3
-        kinds = sorted(f.id[0] for f in g.factors)
-        assert kinds == ["A", "A", "A", "B", "B", "D"]
 
-    def test_clamping_slices_the_table(self):
-        from test_core import tiny_model
-
-        m = tiny_model(A=(np.array([[0.9, 0.1], [0.1, 0.9]]),))
-        g = build_dual_graph(m, (0,))
-        (a_node,) = [f for f in g.factors if f.id.startswith("A")]
-        np.testing.assert_allclose(a_node.table, [0.9, 0.1])
-
-    def test_unobserved_modality_keeps_constant_table(self):
-        from test_core import tiny_model
-
-        g = build_dual_graph(tiny_model(), (None,))
-        (a_node,) = [f for f in g.factors if f.id.startswith("A")]
-        np.testing.assert_allclose(a_node.table, [1.0, 1.0])
-
-    def test_edge_list_dump(self):
-        from test_core import tiny_model
-
-        g = build_dual_graph(tiny_model(), (0,))
-        dump = g.edge_list()
-        assert "var s0@t0 2" in dump
-        assert "edge D0 s0@t0" in dump
-        assert "edge A0@t0 s0@t0" in dump
-
-    @pytest.mark.parametrize("obs", [(-1,), (2,), [[0], [-1]], [[0], [2]]])
-    def test_rejects_outcome_out_of_range(self, obs):
-        from test_core import tiny_model
-
-        controls = None if len(obs) == 1 else [[0]]
-        with pytest.raises(ValueError, match="outcome"):
-            build_dual_graph(tiny_model(), obs, controls=controls)
-
-    @pytest.mark.parametrize("u", [-1, 2])
-    def test_rejects_control_out_of_range(self, u):
-        from test_core import tiny_model
-
-        with pytest.raises(ValueError, match="control"):
-            build_dual_graph(tiny_model(), [[0], [1]], controls=[[u]])
-
-    @pytest.mark.parametrize("row", [[], [0, 0]])
-    def test_rejects_control_row_of_wrong_width(self, row):
-        from test_core import tiny_model
-
-        with pytest.raises(ValueError, match="one per factor"):
-            build_dual_graph(tiny_model(), [[0], [1]], controls=[row])
+def model_graph(m, obs) -> FactorGraph:
+    """One timestep of a model as a graph: a prior per hidden factor and one
+    likelihood factor per modality, clamped to its observed outcome."""
+    states = tuple(f"s{f}" for f in range(m.num_factors))
+    variables = [Variable(s, d) for s, d in zip(states, m.factor_dims)]
+    factors = [Factor(f"D{f}", (s,), m.D[f].probs) for f, s in enumerate(states)]
+    factors += [Factor(f"A{mm}", states, m.A[mm][o]) for mm, o in enumerate(obs)]
+    return FactorGraph(variables, factors)
 
 
 class TestSumProduct:
@@ -162,26 +107,24 @@ class TestSumProduct:
                 Factor("like", ("x",), np.array([0.9, 0.1])),
             ],
         )
-        result = sum_product(g, Schedule(mode="tree-sweep"))
+        result = sum_product(g)
         np.testing.assert_allclose(result.marginals["x"].probs, [0.9, 0.1], atol=1e-12)
-        assert result.converged and result.iterations == 1
-
-    def test_uniform_tables_converge_immediately(self):
-        g = FactorGraph(
-            [Variable("x", 2), Variable("y", 2)],
-            [Factor("f", ("x", "y"), np.ones((2, 2)))],
-        )
-        result = sum_product(g, Schedule(mode="flooding"))
-        assert result.converged
-        assert result.iterations == 1
-        np.testing.assert_allclose(result.marginals["x"].probs, [0.5, 0.5])
 
     def test_chain_matches_enumeration(self):
+        # three steps of a one-factor model: a prior, a clamped likelihood per
+        # step and the control-0 transition between consecutive steps
         rng = np.random.default_rng(6)
         m = random_model(rng, num_factors=1, num_modalities=1, max_states=3)
-        obs = [[random_observation(rng, m)[0]] for _ in range(3)]
-        g = build_dual_graph(m, obs, controls=[[0], [0]])
-        result = sum_product(g, Schedule(mode="tree-sweep"))
+        obs = [random_observation(rng, m)[0] for _ in range(3)]
+        d = m.factor_dims[0]
+        variables = [Variable(f"s@t{t}", d) for t in range(3)]
+        factors = [Factor("D", ("s@t0",), m.D[0].probs)]
+        factors += [Factor(f"A@t{t}", (f"s@t{t}",), m.A[0][o]) for t, o in enumerate(obs)]
+        factors += [
+            Factor(f"B@t{t}", (f"s@t{t}", f"s@t{t + 1}"), m.B[0][:, :, 0].T) for t in range(2)
+        ]
+        g = FactorGraph(variables, factors)
+        result = sum_product(g)
         oracle = oracle_marginals(g)
         for vid, got in result.marginals.items():
             np.testing.assert_allclose(got.probs, oracle[vid], atol=1e-10)
@@ -190,7 +133,7 @@ class TestSumProduct:
         rng = np.random.default_rng(8)
         for _ in range(50):
             g = random_tree_graph(rng)
-            result = sum_product(g, Schedule(mode="tree-sweep"))
+            result = sum_product(g)
             oracle = oracle_marginals(g)
             for vid, got in result.marginals.items():
                 np.testing.assert_allclose(got.probs, oracle[vid], atol=1e-10)
@@ -200,27 +143,14 @@ class TestSumProduct:
             [Variable("", 2), Variable("y", 2)],
             [Factor("f", ("", "y"), np.array([[0.9, 0.1], [0.2, 0.8]]))],
         )
-        result = sum_product(g, Schedule(mode="tree-sweep"))
+        result = sum_product(g)
         for vid, probs in oracle_marginals(g).items():
             np.testing.assert_allclose(result.marginals[vid].probs, probs, atol=1e-12)
-
-    def test_flooding_agrees_with_tree_sweep_on_trees(self):
-        rng = np.random.default_rng(9)
-        for _ in range(20):
-            g1 = random_tree_graph(rng)
-            g2 = FactorGraph(g1.variables, g1.factors)
-            exact = sum_product(g1, Schedule(mode="tree-sweep"))
-            approx = sum_product(g2, Schedule(mode="flooding", max_iters=500, tol=1e-10))
-            assert approx.converged
-            for vid in exact.marginals:
-                np.testing.assert_allclose(
-                    approx.marginals[vid].probs, exact.marginals[vid].probs, atol=1e-6
-                )
 
     def test_messages_stay_normalized(self):
         rng = np.random.default_rng(10)
         g = random_tree_graph(rng)
-        result = sum_product(g, Schedule(mode="flooding", max_iters=7))
+        result = sum_product(g)
         for msg in result.messages.values():
             assert msg.sum() == pytest.approx(1.0, abs=1e-9)
 
@@ -233,23 +163,7 @@ class TestSumProduct:
             ],
         )
         with pytest.raises(CyclicWithTreeSweepError):
-            sum_product(g, Schedule(mode="tree-sweep"))
-
-    def test_loopy_flooding_is_flagged_when_it_stalls(self):
-        # near-deterministic XOR-style coupling makes flooding oscillate
-        xor = np.array([[0.05, 0.95], [0.95, 0.05]])
-        g = FactorGraph(
-            [Variable("x", 2), Variable("y", 2)],
-            [
-                Factor("f1", ("x", "y"), xor),
-                Factor("f2", ("x", "y"), np.eye(2) + 0.01),
-                Factor("bias", ("x",), np.array([0.9, 0.1])),
-            ],
-        )
-        result = sum_product(g, Schedule(mode="flooding", max_iters=3, tol=1e-12))
-        assert isinstance(result, SumProductResult)
-        assert not result.converged  # best-effort marginals still present
-        assert set(result.marginals) == {"x", "y"}
+            sum_product(g)
 
     def test_marginal_errors(self):
         g = FactorGraph([Variable("x", 2)], [Factor("f", ("x",), np.ones(2))])
@@ -258,88 +172,39 @@ class TestSumProduct:
 
 class TestPurity:
     def test_sum_product_leaves_no_state_on_the_graph(self):
-        # the stalled loopy graph of test_loopy_flooding_is_flagged_when_it_stalls
-        xor = np.array([[0.05, 0.95], [0.95, 0.05]])
-        g = FactorGraph(
-            [Variable("x", 2), Variable("y", 2)],
-            [
-                Factor("f1", ("x", "y"), xor),
-                Factor("f2", ("x", "y"), np.eye(2) + 0.01),
-                Factor("bias", ("x",), np.array([0.9, 0.1])),
-            ],
-        )
-        schedule = Schedule(mode="flooding", max_iters=3, tol=1e-12)
-        first, second = sum_product(g, schedule), sum_product(g, schedule)
-        assert_same_result(first, second)
-
         rng = np.random.default_rng(21)
         for _ in range(10):
             g = random_tree_graph(rng)
-            sum_product(g, Schedule(mode="tree-sweep"))
-            after = sum_product(g, Schedule(mode="flooding"))
-            fresh = sum_product(FactorGraph(g.variables, g.factors), Schedule(mode="flooding"))
-            assert after.iterations == fresh.iterations > 1
-            assert_same_result(after, fresh)
+            first, second = sum_product(g), sum_product(g)
+            assert_same_result(first, second)
+            assert_same_result(second, sum_product(FactorGraph(g.variables, g.factors)))
 
 
 def assert_same_result(got, want):
-    assert got.converged == want.converged
-    assert got.iterations == want.iterations
+    """Equal marginals and messages, in the same order, bit for bit."""
     assert list(got.marginals) == list(want.marginals)
     for vid, q in want.marginals.items():
         assert np.array_equal(got.marginals[vid].probs, q.probs), vid
-
-
-def random_dual_graph_case(rng):
-    """A model with partly unobserved rows over 1-3 timesteps; with two hidden
-    factors and two or more timesteps the dual graph has loops."""
-    m = random_model(rng, num_factors=int(rng.integers(1, 3)))
-    T = int(rng.integers(1, 4))
-    obs = [
-        [None if rng.random() < 0.3 else o for o in random_observation(rng, m)]
-        for _ in range(T)
-    ]
-    controls = [[int(rng.integers(0, n)) for n in m.num_controls] for _ in range(T - 1)]
-    return m, obs, controls
+    assert list(got.messages) == list(want.messages)
+    for key, msg in want.messages.items():
+        assert np.array_equal(got.messages[key], msg), key
 
 
 class TestAgainstReference:
-    """sum_product and build_dual_graph against the stateful graph they
-    replaced (factor_graph_reference.py): equal arrays, not just close ones."""
-
-    def check(self, g, ref_g, schedule):
-        got = sum_product(g, schedule)
-        ref_schedule = reference.Schedule(schedule.mode, schedule.max_iters, schedule.tol)
-        want = reference.sum_product(ref_g, ref_schedule)
-        assert_same_result(got, want)
-        assert list(got.messages) == list(ref_g.messages)
-        for key, msg in ref_g.messages.items():
-            assert np.array_equal(got.messages[key], msg), key
-        return got
+    """sum_product against the stateful graph it replaced
+    (factor_graph_reference.py): equal arrays, not just close ones."""
 
     def test_tree_sweep_on_random_trees(self):
         rng = np.random.default_rng(31)
         for _ in range(200):
             g = random_tree_graph(rng)
-            self.check(g, reference.FactorGraph(g.variables, g.factors), Schedule("tree-sweep"))
-
-    def test_flooding_on_random_trees_and_dual_graphs(self):
-        rng = np.random.default_rng(32)
-        converged = loopy = 0
-        for i in range(80):
-            schedule = Schedule("flooding", max_iters=int(rng.integers(1, 81)))
-            if i % 2:
-                g = random_tree_graph(rng)
-                ref_g = reference.FactorGraph(g.variables, g.factors)
-            else:
-                m, obs, controls = random_dual_graph_case(rng)
-                g = build_dual_graph(m, obs, controls)
-                ref_g = reference.build_dual_graph(m, obs, controls)
-                assert g.edge_list() == ref_g.edge_list()
-                loopy += not ref_g.is_tree()
-            converged += self.check(g, ref_g, schedule).converged
-        assert 0 < converged < 80  # stalled runs are covered too
-        assert loopy > 10
+            ref_g = reference.FactorGraph(g.variables, g.factors)
+            ref_g.run_tree_sweep()
+            want = SumProductResult(
+                marginals={v.id: ref_g.marginal(v.id) for v in g.variables},
+                messages=ref_g.messages,
+            )
+            assert_same_result(sum_product(g), want)
 
 
 class TestAgreementWithInference:
@@ -348,11 +213,22 @@ class TestAgreementWithInference:
         for _ in range(30):
             m = random_model(rng, num_factors=1)
             obs = random_observation(rng, m)
-            g = build_dual_graph(m, obs)
-            result = sum_product(g, Schedule(mode="tree-sweep"))
+            result = sum_product(model_graph(m, obs))
             mf = infer_states(m, obs)
             exact, _ = exact_posterior(m, obs)
-            graph_post = result.marginals["s0@t0"].probs
+            graph_post = result.marginals["s0"].probs
             np.testing.assert_allclose(graph_post, exact.factors[0].probs, atol=1e-10)
             l1 = np.abs(graph_post - mf.belief.factors[0].probs).sum()
             assert l1 < 1e-6
+
+    def test_two_factor_model_graph_gives_the_exact_posterior(self):
+        # two priors and one likelihood over both factors form a tree, so BP
+        # is exact where mean field is not
+        rng = np.random.default_rng(13)
+        for _ in range(30):
+            m = random_model(rng, num_factors=2, num_modalities=1)
+            obs = random_observation(rng, m)
+            result = sum_product(model_graph(m, obs))
+            exact, _ = exact_posterior(m, obs)
+            for f, q in enumerate(exact.factors):
+                np.testing.assert_allclose(result.marginals[f"s{f}"].probs, q.probs, atol=1e-10)

@@ -224,6 +224,21 @@ class TestSelectSources:
         assert gains[0] == gains[1]
         assert select_sources(Categorical.uniform(3), sources, k=1) == [1]
 
+    def test_layout_does_not_change_the_score(self):
+        # lk @ q sums a strided view in another order than a contiguous copy;
+        # scoring the contiguous form makes equal entries score equal floats
+        rng = np.random.default_rng(0)
+        for _ in range(200):
+            d, n_out = int(rng.integers(2, 5)), int(rng.integers(2, 5))
+            stack = rng.dirichlet(np.ones(n_out), size=(d, 3)).transpose(2, 0, 1).copy()
+            view = stack[:, :, 0]
+            belief = Categorical(rng.dirichlet(np.ones(d)))
+            assert expected_info_gain_of_source(belief, view) == expected_info_gain_of_source(
+                belief, view.copy()
+            )
+            assert select_sources(belief, [(1, view), (2, view.copy())], k=1) == [1]
+            assert select_sources(belief, [(2, view), (1, view.copy())], k=1) == [1]
+
     def test_k_too_large(self):
         with pytest.raises(KTooLargeError):
             select_sources(Categorical.uniform(2), [(1, np.eye(2))], k=2)
@@ -256,8 +271,7 @@ class TestSelectSourcesAgainstReference:
             )
 
     def test_repeated_likelihoods_as_copies_views_and_one_object(self):
-        # lk @ q sums a strided view and a contiguous copy in different
-        # orders, so equal entries in another layout may score another float
+        # equal entries as views, copies, Fortran arrays, lists and shared objects
         rng = np.random.default_rng(89)
         for _ in range(60):
             d, n_out = int(rng.integers(2, 5)), int(rng.integers(2, 5))

@@ -1,5 +1,6 @@
 """Perception/learning/model evidence against hand calculations and enumeration oracles."""
 
+import dataclasses
 from itertools import product
 
 import numpy as np
@@ -270,6 +271,31 @@ class TestInferStates:
             assert (got.iterations, got.converged) == (want.iterations, want.converged)
             for a, b in zip(got.belief.arrays(), want.belief.arrays()):
                 assert np.array_equal(a, b)
+
+    def test_matches_the_reference_loop_on_hard_zero_likelihoods(self):
+        # zeros in A give -inf log-likelihoods, which the loop floors at
+        # LOG_FLOOR while a peer factor is still uncertain; a moved floor
+        # changes the belief or the iteration count of many of these models
+        rng = np.random.default_rng(0)
+        checked = 0
+        while checked < 40:
+            m = random_model(rng, num_factors=2, num_modalities=2)
+            A = []
+            for a in m.A:
+                a = np.where(rng.random(a.shape) < 0.3, 0.0, a)
+                a[0][a.sum(axis=0) == 0] = 1.0  # an emptied column puts its mass on outcome 0
+                A.append(a / a.sum(axis=0))
+            m = dataclasses.replace(m, A=tuple(A))
+            obs = random_observation(rng, m)
+            try:
+                want = mean_field_reference.infer_states(m, obs)
+            except ZeroEvidenceError:
+                continue
+            got = infer_states(m, obs)
+            assert (got.iterations, got.converged) == (want.iterations, want.converged)
+            for a, b in zip(got.belief.arrays(), want.belief.arrays()):
+                assert np.array_equal(a, b)
+            checked += 1
 
 
 class TestLikelihoodLearning:
