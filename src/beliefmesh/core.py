@@ -4,7 +4,8 @@ Conventions used throughout the package:
   - probabilities are stored in linear space as float64; log space is used
     only transiently inside exp-and-normalize steps (``normalized_exp``)
   - 0 * ln 0 = 0
-  - stochasticity is validated to 1e-9 and never repaired silently
+  - stochasticity is checked to 1e-9 and never repaired silently; building
+    a GenerativeModel raises InvalidModelError with every violation found
 """
 
 from __future__ import annotations
@@ -30,6 +31,14 @@ class DimMismatchError(ValueError):
 
 class NonFiniteError(ValueError):
     """NaN or infinity where finite values were required."""
+
+
+class InvalidModelError(ValueError):
+    """Raised with the full list of model violations, one per line."""
+
+    def __init__(self, violations):
+        self.violations = list(violations)
+        super().__init__("invalid model:\n" + "\n".join(f"  - {v}" for v in self.violations))
 
 
 def _as_vector(x) -> np.ndarray:
@@ -62,9 +71,6 @@ class Categorical:
 
     @property
     def dim(self) -> int:
-        return self.probs.size
-
-    def __len__(self) -> int:
         return self.probs.size
 
     @staticmethod
@@ -137,7 +143,7 @@ class BeliefState:
 
 @dataclass(frozen=True)
 class GenerativeModel:
-    """Discrete generative model.
+    """Discrete generative model; building one with any violation raises InvalidModelError.
 
     A[m] : p(o_m | s_1..s_F), shape (modality_dims[m], *factor_dims); every
            slice over the outcome axis is a distribution
@@ -166,6 +172,9 @@ class GenerativeModel:
             object.__setattr__(self, name, arrays)
         object.__setattr__(self, "D", tuple(self.D))
         object.__setattr__(self, "policies", tuple(self.policies))
+        violations = _model_violations(self)
+        if violations:
+            raise InvalidModelError(violations)
 
     @property
     def num_factors(self) -> int:
@@ -235,19 +244,34 @@ def js_divergence(a, b) -> float:
     return 0.5 * kl_divergence(av, m) + 0.5 * kl_divergence(bv, m)
 
 
-def validate_model(m: GenerativeModel) -> list[str]:
-    """Check every model invariant; returns violations with a path to the offending slice.
+def column_faults(t: np.ndarray) -> tuple[tuple | None, np.ndarray, list[tuple]]:
+    """Index of t's smallest entry if negative (else None), t's sums over axis 0, and the
+    indices of the columns not summing to 1 within STOCHASTIC_TOL, non-finite ones included."""
+    neg = tuple(map(int, np.unravel_index(np.nanargmin(t), t.shape))) if (t < 0).any() else None
+    sums = t.sum(axis=0)
+    failing = [tuple(i) for i in np.argwhere(~(abs(sums - 1.0) <= STOCHASTIC_TOL)).tolist()]
+    return neg, sums, failing
 
-    An empty list means the model is well-formed. Violations are data, not
-    exceptions, so defective models can be constructed and inspected.
-    """
-    bad: list[str] = []
+
+def _model_violations(m: GenerativeModel) -> list[str]:
+    """Every model invariant that m breaks, each with a path to the offending
+    slice. A wrong table count or number of axes stops the check there."""
     F, M = m.num_factors, m.num_modalities
-
+    bad: list[str] = []
     if F < 1:
         bad.append("factor_dims: need at least one hidden factor")
     if M < 1:
         bad.append("modality_dims: need at least one modality")
+    for name, want, what in (("A", M, "modality tensors"), ("B", F, "factor tensors"),
+                             ("C", M, "preference vectors"), ("D", F, "priors")):
+        if len(getattr(m, name)) != want:
+            bad.append(f"{name}: expected {want} {what}, got {len(getattr(m, name))}")
+    for f, b in enumerate(m.B):
+        if b.ndim != 3:
+            bad.append(f"B[{f}]: shape {b.shape} is not (next, previous, control)")
+    if bad:
+        return bad
+
     for f, d in enumerate(m.factor_dims):
         if d < 2:
             bad.append(f"factor_dims[{f}]: cardinality {d} < 2")
@@ -255,56 +279,35 @@ def validate_model(m: GenerativeModel) -> list[str]:
         if d < 2:
             bad.append(f"modality_dims[{mm}]: cardinality {d} < 2")
 
-    if len(m.A) != M:
-        bad.append(f"A: expected {M} modality tensors, got {len(m.A)}")
-    if len(m.B) != F:
-        bad.append(f"B: expected {F} factor tensors, got {len(m.B)}")
-    if len(m.C) != M:
-        bad.append(f"C: expected {M} preference vectors, got {len(m.C)}")
-    if len(m.D) != F:
-        bad.append(f"D: expected {F} priors, got {len(m.D)}")
-
     for mm, a in enumerate(m.A):
-        want = (m.modality_dims[mm],) + m.factor_dims if mm < M else None
-        if want is not None and a.shape != want:
+        want = (m.modality_dims[mm],) + m.factor_dims
+        if a.shape != want:
             bad.append(f"A[{mm}]: shape {a.shape} != {want}")
             continue
-        if np.any(a < 0):
-            idx = np.unravel_index(int(np.argmin(a)), a.shape)
-            bad.append(f"A[{mm}]{list(idx)}: negative entry {a[idx]}")
-        sums = a.sum(axis=0)
-        errs = np.argwhere(np.abs(sums - 1.0) > STOCHASTIC_TOL)
-        for idx in errs[:8]:
-            key = tuple(int(i) for i in idx)
+        neg, sums, failing = column_faults(a)
+        if neg is not None:
+            bad.append(f"A[{mm}]{list(neg)}: negative entry {a[neg]}")
+        for key in failing[:8]:
             bad.append(f"A[{mm}][:, {key}]: outcome slice sums to {sums[key]:.6g}, not 1")
 
     for f, b in enumerate(m.B):
-        if f >= F:
-            break
         d = m.factor_dims[f]
-        if b.ndim != 3 or b.shape[0] != d or b.shape[1] != d or b.shape[2] < 1:
+        if b.shape[0] != d or b.shape[1] != d or b.shape[2] < 1:
             bad.append(f"B[{f}]: shape {b.shape} incompatible with factor dim {d}")
             continue
-        if np.any(b < 0):
-            idx = np.unravel_index(int(np.argmin(b)), b.shape)
-            bad.append(f"B[{f}]{list(idx)}: negative entry {b[idx]}")
-        sums = b.sum(axis=0)
-        errs = np.argwhere(np.abs(sums - 1.0) > STOCHASTIC_TOL)
-        for idx in errs[:8]:
-            s, u = (int(i) for i in idx)
+        neg, sums, failing = column_faults(b)
+        if neg is not None:
+            bad.append(f"B[{f}]{list(neg)}: negative entry {b[neg]}")
+        for s, u in failing[:8]:
             bad.append(f"B[{f}][:, {s}, {u}]: column sums to {sums[s, u]:.6g}, not 1")
 
     for mm, c in enumerate(m.C):
-        if mm >= M:
-            break
         if c.shape != (m.modality_dims[mm],):
             bad.append(f"C[{mm}]: shape {c.shape} != ({m.modality_dims[mm]},)")
         elif not np.isfinite(c).all():
             bad.append(f"C[{mm}]: non-finite log-preference")
 
     for f, d_prior in enumerate(m.D):
-        if f >= F:
-            break
         if d_prior.dim != m.factor_dims[f]:
             bad.append(f"D[{f}]: dimension {d_prior.dim} != factor dim {m.factor_dims[f]}")
 

@@ -1,7 +1,7 @@
 """Task environments (generative processes) and the matching agent models.
 
 The environment owns the true state and the observation noise; agents only
-ever see outcome indices. true_state() exists for metrics, never for agents.
+ever see outcome indices. TMazeEnv.true_state() exists for metrics, never for agents.
 """
 
 from __future__ import annotations
@@ -150,9 +150,6 @@ class ElephantRoomEnv:
 
     def step(self, action=None):
         return self._observe()
-
-    def true_state(self):
-        return (self.true_what, self.location)
 
     def _observe(self):
         present = FEATURES[self.location, self.true_what]

@@ -191,7 +191,8 @@ def run_collective(
         raise ValueError(f"{len(locations)} locations for {n} agents")
     ref_prior = Categorical.uniform(len(WHAT_NAMES))
     addresses = [SpatialAddress(("room", f"agent-{i}")) for i in range(n)]
-    models = [build_elephant_model(locations[i], noise=cfg.noise) for i in range(n)]
+    built = {loc: build_elephant_model(loc, noise=cfg.noise) for loc in sorted(set(locations))}
+    models = [built[loc] for loc in locations]  # one checked, immutable model per vantage point
     envs = [ElephantRoomEnv(locations[i], true_what=true_what, noise=cfg.noise) for i in range(n)]
 
     root = np.random.SeedSequence(cfg.seed)

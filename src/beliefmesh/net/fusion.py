@@ -13,9 +13,9 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from ..core import (
-    STOCHASTIC_TOL,
     Categorical,
     DimMismatchError,
+    column_faults,
     conditional_entropies,
     entropy,
     kl_divergence,  # noqa: F401 -- unused; perfbench/tracer.py patches net.fusion.kl_divergence
@@ -63,11 +63,11 @@ def _check_source_likelihood(belief: Categorical, likelihood) -> np.ndarray:
         raise DimMismatchError(
             f"source likelihood shape {lk.shape} incompatible with belief dim {belief.dim}"
         )
-    if np.any(lk < 0):
+    neg, sums, failing = column_faults(lk)
+    if neg is not None:
         raise ValueError("source likelihood entries must be >= 0")
-    sums = lk.sum(axis=0)
-    if np.any(np.abs(sums - 1.0) > STOCHASTIC_TOL):
-        raise ValueError(f"source likelihood columns must sum to 1, got {sums}")
+    if failing:
+        raise ValueError(f"source likelihood columns must be finite and sum to 1, got {sums}")
     return lk
 
 

@@ -129,11 +129,6 @@ class MemoryBus:
                 if ep is not sender and ep._open:
                     ep._inbox.append(frame)
 
-    def close(self) -> None:
-        with self._lock:
-            for ep in self._endpoints:
-                ep._open = False
-
 
 class SocketHub:
     """Accepts TCP connections and rebroadcasts every frame to the others on

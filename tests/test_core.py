@@ -10,12 +10,12 @@ from beliefmesh.core import (
     DimMismatchError,
     DirichletCounts,
     GenerativeModel,
+    InvalidModelError,
     NegativeEntryError,
     Policy,
     entropy,
     js_divergence,
     kl_divergence,
-    validate_model,
 )
 
 
@@ -150,35 +150,69 @@ def tiny_model(**overrides) -> GenerativeModel:
     return GenerativeModel(**fields)
 
 
+def violations_of(**overrides) -> list[str]:
+    with pytest.raises(InvalidModelError) as err:
+        tiny_model(**overrides)
+    return err.value.violations
+
+
 class TestValidateModel:
     def test_clean_model_has_no_violations(self):
-        assert validate_model(tiny_model()) == []
+        assert isinstance(tiny_model(), GenerativeModel)
 
     def test_bad_a_column(self):
-        m = tiny_model(A=(np.array([[0.9, 0.3], [0.1, 0.9]]),))
-        (v,) = validate_model(m)
+        (v,) = violations_of(A=(np.array([[0.9, 0.3], [0.1, 0.9]]),))
         assert "A[0]" in v and "1.2" in v
 
     def test_bad_b_column(self):
         b = np.stack([np.eye(2), np.eye(2)], axis=2).copy()
         b[0, 0, 1] = 0.5
-        m = tiny_model(B=(b,))
-        (v,) = validate_model(m)
+        (v,) = violations_of(B=(b,))
         assert "B[0]" in v
 
     def test_negative_entry_located(self):
         a = np.array([[1.1, 0.1], [-0.1, 0.9]])
-        m = tiny_model(A=(a,))
-        assert any("negative" in v for v in validate_model(m))
+        assert "A[0][1, 0]: negative entry -0.1" in violations_of(A=(a,))
 
     def test_policy_control_out_of_range(self):
-        m = tiny_model(policies=(Policy(((0,),)), Policy(((2,),))))
-        assert any("out of range" in v for v in validate_model(m))
+        bad = violations_of(policies=(Policy(((0,),)), Policy(((2,),))))
+        assert any("out of range" in v for v in bad)
 
     def test_e_dim_must_match_policy_count(self):
-        m = tiny_model(E=Categorical.uniform(3))
-        assert any(v.startswith("E:") for v in validate_model(m))
+        assert any(v.startswith("E:") for v in violations_of(E=Categorical.uniform(3)))
 
     def test_d_dim_mismatch(self):
-        m = tiny_model(D=(Categorical.uniform(3),))
-        assert any(v.startswith("D[0]") for v in validate_model(m))
+        assert any(v.startswith("D[0]") for v in violations_of(D=(Categorical.uniform(3),)))
+
+    def test_error_lists_every_violation(self):
+        a = np.array([[0.9, 0.3], [0.1, 0.9]])
+        with pytest.raises(InvalidModelError) as err:
+            tiny_model(A=(a,), E=Categorical.uniform(3))
+        assert isinstance(err.value, ValueError)
+        assert len(err.value.violations) == 2
+        for v in err.value.violations:
+            assert v in str(err.value)
+
+    @pytest.mark.parametrize("table", ["A", "B"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_entry_fails_its_column(self, table, value):
+        model = tiny_model()
+        t = np.array(getattr(model, table)[0])
+        t[(1,) + (0,) * (t.ndim - 1)] = value
+        (v,) = violations_of(**{table: (t,)})
+        assert v.startswith(f"{table}[0][:, ") and "not 1" in v
+
+    def test_column_tolerance_is_stochastic_tol(self):
+        # columns 1 + 5e-10 and 1 + 2e-9 straddle STOCHASTIC_TOL = 1e-9
+        tiny_model(A=(np.array([[0.9, 0.1 + 5e-10], [0.1, 0.9]]),))
+        (v,) = violations_of(A=(np.array([[0.9, 0.1 + 2e-9], [0.1, 0.9]]),))
+        assert v.startswith("A[0][:, (1,)]")
+
+    def test_wrong_table_count_stops_the_check(self):
+        # a second A tensor and a bad column: only the count is reported
+        a = np.array([[0.9, 0.3], [0.1, 0.9]])
+        assert violations_of(A=(a, a)) == ["A: expected 1 modality tensors, got 2"]
+
+    def test_b_without_a_control_axis_stops_the_check(self):
+        (v,) = violations_of(B=(np.eye(2),))
+        assert v.startswith("B[0]: shape (2, 2)")

@@ -1,11 +1,12 @@
 """Environment/model agreement: the agent's tables must replicate the process."""
 
+import dataclasses
 import itertools
 
 import numpy as np
 import pytest
 
-from beliefmesh.core import Categorical, validate_model
+from beliefmesh.core import Categorical, GenerativeModel, InvalidModelError
 from beliefmesh.envs import (
     CUE_LEFT,
     CUE_NONE,
@@ -91,7 +92,14 @@ class TestTMazeEnv:
 
 class TestTMazeModel:
     def test_model_passes_validation(self):
-        assert validate_model(build_tmaze_model()) == []
+        assert isinstance(build_tmaze_model(), GenerativeModel)
+
+    def test_scaled_likelihood_is_rejected(self):
+        m = build_tmaze_model()
+        with pytest.raises(InvalidModelError) as err:
+            dataclasses.replace(m, A=(m.A[0] * 1.7,) + m.A[1:])
+        assert err.value.violations
+        assert all(v.startswith("A[0][:, ") and "sums to 1.7" in v for v in err.value.violations)
 
     def test_dimensions(self):
         m = build_tmaze_model()
@@ -182,7 +190,7 @@ class TestElephantRoomEnv:
 class TestElephantModel:
     def test_model_passes_validation(self):
         for loc in range(3):
-            assert validate_model(build_elephant_model(loc)) == []
+            assert isinstance(build_elephant_model(loc), GenerativeModel)
 
     def test_rejects_a_location_outside_the_room(self):
         for loc in (-1, 3):

@@ -315,6 +315,7 @@ class TestSelectSourcesAgainstReference:
             np.array([0.5, 0.5]),  # not a matrix
             np.eye(2).reshape(1, 4),  # the bytes of a good source, another shape
             np.eye(2).reshape(4, 1),
+            np.array([[1.0, np.nan], [0.0, 0.5]]),  # a NaN entry
         ],
     )
     def test_bad_likelihood_raises_as_the_reference_does(self, bad):

@@ -15,6 +15,7 @@ from beliefmesh.envs import (
     TMAZE_CUE,
     TMAZE_LEFT,
     TMAZE_RIGHT,
+    build_elephant_model,
     build_tmaze_model,
 )
 from beliefmesh import harness
@@ -325,6 +326,17 @@ class TestCollective:
     def test_location_override_must_match_agent_count(self):
         with pytest.raises(ValueError, match="locations"):
             run_collective(elephant_cfg(), locations=[0, 1])
+
+    def test_one_model_per_vantage_point(self, monkeypatch):
+        built = []
+
+        def build(location, noise):
+            built.append(location)
+            return build_elephant_model(location, noise=noise)
+
+        monkeypatch.setattr(harness, "build_elephant_model", build)
+        run_collective(elephant_cfg(agents=7, steps=1))
+        assert built == [0, 1, 2]
 
     def test_location_override_must_name_vantage_points(self):
         with pytest.raises(ValueError, match="location 3 outside"):

@@ -6,7 +6,14 @@ from itertools import product
 import numpy as np
 import pytest
 
-from beliefmesh.core import Categorical, DimMismatchError, DirichletCounts, kl_divergence
+from beliefmesh.core import (
+    Categorical,
+    DimMismatchError,
+    DirichletCounts,
+    GenerativeModel,
+    Policy,
+    kl_divergence,
+)
 from beliefmesh.inference import (
     MeanFieldResult,
     ShapeMismatchError,
@@ -77,17 +84,15 @@ class TestExactPosterior:
             exact_posterior(m, (1,))
 
     def test_enumeration_guard(self):
-        rng = np.random.default_rng(0)
-        m = random_model(rng, num_factors=1, num_modalities=1)
-        big = type(m)(
+        big = GenerativeModel(
             factor_dims=(101, 101, 101),
             modality_dims=(2,),
             A=(np.full((2, 101, 101, 101), 0.5),),
             B=(np.eye(101)[:, :, None],) * 3,
             C=(np.zeros(2),),
             D=(Categorical.uniform(101),) * 3,
-            E=m.E,
-            policies=m.policies,
+            E=Categorical.uniform(1),
+            policies=(Policy(((0, 0, 0),)),),
         )
         with pytest.raises(TooLargeError):
             exact_posterior(big, (0,))
@@ -200,8 +205,6 @@ class TestInferStates:
     def test_separable_two_factor_model(self):
         # modality 0 reads factor 0 only, modality 1 reads factor 1 only:
         # the joint posterior factorizes, so mean field is exact here
-        from beliefmesh.core import GenerativeModel, Policy
-
         rng = np.random.default_rng(19)
         a0 = rng.dirichlet(np.ones(2), size=2).T
         a1 = rng.dirichlet(np.ones(3), size=3).T

@@ -73,6 +73,11 @@ class TestExpectedStates:
         with pytest.raises(BadControlIndexError):
             expected_states(m, m.initial_belief(), Policy(((4,),)))
 
+    def test_policy_of_wrong_width(self):
+        m = chain_model(np.eye(2))
+        with pytest.raises(DimMismatchError):
+            expected_states(m, m.initial_belief(), Policy(((0, 0),)))
+
 
 class TestExpectedFreeEnergy:
     def test_identity_a_uniform_c(self):
