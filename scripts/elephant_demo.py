@@ -29,7 +29,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from beliefmesh.config import ExperimentConfig
-from beliefmesh.envs import ELEPHANT
+from beliefmesh.envs import DEFAULT_NOISE
 from beliefmesh.harness import WHAT_FACTOR_ID, RunResult, run_collective
 
 LABELS = ("elephant", "statue", "empty")
@@ -45,7 +45,7 @@ def run(share: bool, args: argparse.Namespace) -> RunResult:
         k=args.k if share else None,
         noise=args.noise,
     )
-    return run_collective(cfg, true_what=ELEPHANT)
+    return run_collective(cfg)
 
 
 def report(tag: str, result: RunResult) -> None:
@@ -69,7 +69,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--agents", type=int, default=3)
     parser.add_argument("--steps", type=int, default=4)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--noise", type=float, default=0.1,
+    parser.add_argument("--noise", type=float, default=DEFAULT_NOISE,
                         help="probability a felt feature reads wrong")
     parser.add_argument("--k", type=int, default=None,
                         help="peers fused per round (default: all)")

@@ -11,22 +11,17 @@ from __future__ import annotations
 
 import argparse
 import sys
-from pathlib import Path
 
-from .config import ConfigInvalidError, ExperimentConfig, config_from_dict, read_config_file
-from .harness import run_experiment
-
-_OVERRIDE_FIELDS = (
-    "agents",
-    "steps",
-    "seed",
-    "share",
-    "k",
-    "gamma",
-    "depth",
-    "noise",
-    "transport",
+from .config import (
+    FIELD_NAMES,
+    SCENARIOS,
+    TRANSPORTS,
+    ConfigInvalidError,
+    ExperimentConfig,
+    config_from_dict,
+    read_config_file,
 )
+from .harness import run_experiment
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -36,7 +31,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     run = sub.add_parser("run", help="run a scenario and optionally write logs")
-    run.add_argument("scenario", choices=("tmaze", "elephant"))
+    run.add_argument("scenario", choices=SCENARIOS)
     run.add_argument("--agents", type=int, help="number of agents")
     run.add_argument("--steps", type=int, help="environment steps / sharing rounds")
     run.add_argument("--seed", type=int, help="seed for every source of randomness")
@@ -47,25 +42,18 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--gamma", type=float, help="action precision")
     run.add_argument("--depth", type=int, help="planning horizon")
     run.add_argument("--noise", type=float, help="observation confusion probability")
-    run.add_argument("--transport", choices=("mem", "socket"))
-    run.add_argument("--out", metavar="DIR", help="directory for CSV logs and manifest")
+    run.add_argument("--transport", choices=TRANSPORTS)
+    run.add_argument(
+        "--out", dest="out_dir", metavar="DIR", help="directory for CSV logs and manifest"
+    )
     run.add_argument("--config", metavar="FILE", help="JSON config; flags override it")
     return parser
 
 
 def _assemble_config(args: argparse.Namespace) -> ExperimentConfig:
-    data: dict = {}
-    if args.config is not None:
-        data.update(read_config_file(args.config))
-    data["scenario"] = args.scenario
-    for name in _OVERRIDE_FIELDS:
-        value = getattr(args, name)
-        if value is not None:
-            data[name] = value
-    if args.out is not None:
-        data["out_dir"] = args.out
-    if data.get("agents") is None and args.scenario == "elephant":
-        data["agents"] = 3
+    """Config file values, then every flag given; a flag's dest is its field."""
+    data = {} if args.config is None else read_config_file(args.config)
+    data.update((k, v) for k, v in vars(args).items() if k in FIELD_NAMES and v is not None)
     return config_from_dict(data)
 
 
@@ -97,9 +85,8 @@ def main(argv=None) -> int:
     try:
         result = run_experiment(cfg)
         print(_summarize(result, cfg))
-        if cfg.out_dir is not None:
-            for path in sorted(Path(cfg.out_dir).iterdir()):
-                print(f"wrote {path}")
+        for path in result.logs:
+            print(f"wrote {path}")
     except Exception as exc:  # noqa: BLE001 - the CLI boundary reports, not raises
         print(f"beliefmesh: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1

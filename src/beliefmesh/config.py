@@ -7,6 +7,7 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
+from .envs import DEFAULT_NOISE
 from .planning import DEFAULT_DEPTH, DEFAULT_GAMMA, DEFAULT_PRUNE
 
 SCENARIOS = ("tmaze", "elephant")
@@ -24,7 +25,7 @@ class ConfigInvalidError(ValueError):
 @dataclass(frozen=True)
 class ExperimentConfig:
     scenario: str
-    agents: int = 1
+    agents: int | None = None  # None: 3 for elephant, else 1
     steps: int = 2
     seed: int = 0
     share: bool = True
@@ -32,14 +33,19 @@ class ExperimentConfig:
     gamma: float = DEFAULT_GAMMA
     depth: int = DEFAULT_DEPTH
     prune_threshold: float = DEFAULT_PRUNE
-    noise: float = 0.1
+    noise: float = DEFAULT_NOISE
     transport: str = "mem"
     out_dir: str | None = None
 
     def __post_init__(self):
+        if self.agents is None:
+            object.__setattr__(self, "agents", 3 if self.scenario == "elephant" else 1)
         problems = validate_config_fields(self)
         if problems:
             raise ConfigInvalidError(problems)
+        # one numeric form per value, so equal configs write equal manifests
+        for name in ("gamma", "prune_threshold", "noise"):
+            object.__setattr__(self, name, float(getattr(self, name)))
 
     def resolved_k(self) -> int:
         return self.agents - 1 if self.k is None else self.k
@@ -48,40 +54,40 @@ class ExperimentConfig:
         return dataclasses.asdict(self)
 
 
+def _is_int_at_least(value, least: int) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= least
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def validate_config_fields(cfg) -> list[str]:
     problems = []
     if cfg.scenario not in SCENARIOS:
         problems.append(f"scenario must be one of {SCENARIOS}, got {cfg.scenario!r}")
-    if not isinstance(cfg.agents, int) or isinstance(cfg.agents, bool) or cfg.agents < 1:
+    if not _is_int_at_least(cfg.agents, 1):
         problems.append(f"agents must be a positive integer, got {cfg.agents!r}")
     elif cfg.scenario == "elephant" and cfg.agents < 2:
         problems.append("elephant scenario needs at least 2 agents")
-    if not isinstance(cfg.steps, int) or isinstance(cfg.steps, bool) or cfg.steps < 1:
+    if not _is_int_at_least(cfg.steps, 1):
         problems.append(f"steps must be a positive integer, got {cfg.steps!r}")
-    if not isinstance(cfg.seed, int) or isinstance(cfg.seed, bool) or cfg.seed < 0:
+    if not _is_int_at_least(cfg.seed, 0):
         problems.append(f"seed must be a non-negative integer, got {cfg.seed!r}")
     if not isinstance(cfg.share, bool):
         problems.append(f"share must be a boolean, got {cfg.share!r}")
     if cfg.k is not None:
-        if not isinstance(cfg.k, int) or isinstance(cfg.k, bool) or cfg.k < 1:
+        if not _is_int_at_least(cfg.k, 1):
             problems.append(f"k must be a positive integer or null, got {cfg.k!r}")
         elif isinstance(cfg.agents, int) and cfg.k > max(cfg.agents - 1, 0):
             problems.append(f"k={cfg.k} exceeds the {max(cfg.agents - 1, 0)} available sources")
-    if not isinstance(cfg.gamma, (int, float)) or isinstance(cfg.gamma, bool) or not cfg.gamma > 0:
+    if not _is_real(cfg.gamma) or not cfg.gamma > 0:
         problems.append(f"gamma must be a positive number, got {cfg.gamma!r}")
-    if not isinstance(cfg.depth, int) or isinstance(cfg.depth, bool) or cfg.depth < 1:
+    if not _is_int_at_least(cfg.depth, 1):
         problems.append(f"depth must be a positive integer, got {cfg.depth!r}")
-    if (
-        not isinstance(cfg.prune_threshold, (int, float))
-        or isinstance(cfg.prune_threshold, bool)
-        or not (0.0 <= cfg.prune_threshold < 1.0)
-    ):
+    if not _is_real(cfg.prune_threshold) or not (0.0 <= cfg.prune_threshold < 1.0):
         problems.append(f"prune_threshold must lie in [0, 1), got {cfg.prune_threshold!r}")
-    if (
-        not isinstance(cfg.noise, (int, float))
-        or isinstance(cfg.noise, bool)
-        or not (0.0 <= cfg.noise <= 1.0)
-    ):
+    if not _is_real(cfg.noise) or not (0.0 <= cfg.noise <= 1.0):
         problems.append(f"noise must lie in [0, 1], got {cfg.noise!r}")
     if cfg.transport not in TRANSPORTS:
         problems.append(f"transport must be one of {TRANSPORTS}, got {cfg.transport!r}")
@@ -90,27 +96,18 @@ def validate_config_fields(cfg) -> list[str]:
     return problems
 
 
-_FIELD_NAMES = {f.name for f in dataclasses.fields(ExperimentConfig)}
+FIELD_NAMES = {f.name for f in dataclasses.fields(ExperimentConfig)}
 
 
 def config_from_dict(data: dict) -> ExperimentConfig:
     if not isinstance(data, dict):
         raise ConfigInvalidError([f"configuration must be an object, got {type(data).__name__}"])
-    unknown = sorted(set(data) - _FIELD_NAMES)
+    unknown = sorted(set(data) - FIELD_NAMES)
     if unknown:
         raise ConfigInvalidError([f"unknown key {k!r}" for k in unknown])
     if "scenario" not in data:
         raise ConfigInvalidError(["missing required key 'scenario'"])
-    clean = dict(data)
-    if isinstance(clean.get("gamma"), int) and not isinstance(clean.get("gamma"), bool):
-        clean["gamma"] = float(clean["gamma"])
-    if isinstance(clean.get("noise"), int) and not isinstance(clean.get("noise"), bool):
-        clean["noise"] = float(clean["noise"])
-    if isinstance(clean.get("prune_threshold"), int) and not isinstance(
-        clean.get("prune_threshold"), bool
-    ):
-        clean["prune_threshold"] = float(clean["prune_threshold"])
-    return ExperimentConfig(**clean)
+    return ExperimentConfig(**data)
 
 
 def read_config_file(path) -> dict:

@@ -37,7 +37,7 @@ class TMazeEnv:
         return self._observe()
 
     def step(self, action):
-        u = int(action[0]) if not np.isscalar(action) else int(action)
+        u = int(action[0])
         if self._loc in (TMAZE_CENTER, TMAZE_CUE):
             self._loc = u
         # arms are absorbing: moves from an arm do nothing
@@ -115,6 +115,7 @@ def build_tmaze_model(preferences=None) -> GenerativeModel:
 WHAT_NAMES = ("elephant", "statue", "empty")
 ELEPHANT, STATUE, EMPTY = 0, 1, 2
 NUM_LOCATIONS = 3
+DEFAULT_NOISE = 0.1  # chance that a feel reads the opposite of the feature
 
 # FEATURES[location][what] = is the felt feature present?
 FEATURES = np.array(
@@ -135,7 +136,7 @@ def _check_location(location: int) -> None:
 class ElephantRoomEnv:
     """Static scene observed from one location with confusion noise."""
 
-    def __init__(self, location: int, true_what: int = ELEPHANT, noise: float = 0.1):
+    def __init__(self, location: int, true_what: int = ELEPHANT, noise: float = DEFAULT_NOISE):
         _check_location(location)
         if not (0.0 <= noise <= 1.0):
             raise ValueError(f"noise must be in [0, 1], got {noise}")
@@ -157,7 +158,7 @@ class ElephantRoomEnv:
         return (int(felt), self.location)
 
 
-def build_elephant_model(location: int, noise: float = 0.1) -> GenerativeModel:
+def build_elephant_model(location: int, noise: float = DEFAULT_NOISE) -> GenerativeModel:
     """One agent's model: shared "what" factor, private "where" pinned to the
     agent's location; a binary feel modality and a deterministic location
     readout."""
@@ -191,7 +192,7 @@ def feel_log_evidence(model: GenerativeModel, feel_obs: int, location: int) -> n
     return log_stable(model.A[0][int(feel_obs), :, int(location)])
 
 
-def pooled_elephant_posterior(observations, noise: float = 0.1) -> Categorical:
+def pooled_elephant_posterior(observations, noise: float = DEFAULT_NOISE) -> Categorical:
     """Exact posterior of one agent holding every vantage point's feel.
 
     observations: list of (feel, location) pairs.

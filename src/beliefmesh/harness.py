@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import csv
 import json
+import operator
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -83,6 +84,7 @@ class RunResult:
     trajectories: tuple[AgentTrajectory, ...]
     synchrony_series: tuple[float, ...]
     extras: dict = field(default_factory=dict)
+    logs: tuple[Path, ...] = ()  # the files run_experiment wrote, if any
 
 
 def _kl_rows(q: np.ndarray, p: np.ndarray) -> np.ndarray:
@@ -172,11 +174,7 @@ def run_single_agent(cfg: ExperimentConfig, model: GenerativeModel | None = None
     return RunResult(cfg, (trajectory,), (), extras)
 
 
-def run_collective(
-    cfg: ExperimentConfig,
-    true_what: int = ELEPHANT,
-    locations: list[int] | None = None,
-) -> RunResult:
+def run_collective(cfg: ExperimentConfig, locations: list[int] | None = None) -> RunResult:
     """N agents around one scene, each feeling its own corner, optionally
     pooling log-evidence about the shared factor over the wire.
 
@@ -189,11 +187,15 @@ def run_collective(
         locations = [i % NUM_LOCATIONS for i in range(n)]
     elif len(locations) != n:
         raise ValueError(f"{len(locations)} locations for {n} agents")
+    try:
+        locations = [operator.index(loc) for loc in locations]
+    except TypeError as exc:
+        raise TypeError(f"locations must be integers, got {locations!r}") from exc
     ref_prior = Categorical.uniform(len(WHAT_NAMES))
     addresses = [SpatialAddress(("room", f"agent-{i}")) for i in range(n)]
     built = {loc: build_elephant_model(loc, noise=cfg.noise) for loc in sorted(set(locations))}
     models = [built[loc] for loc in locations]  # one checked, immutable model per vantage point
-    envs = [ElephantRoomEnv(locations[i], true_what=true_what, noise=cfg.noise) for i in range(n)]
+    envs = [ElephantRoomEnv(locations[i], noise=cfg.noise) for i in range(n)]
 
     root = np.random.SeedSequence(cfg.seed)
     env_seeds = [int(seq.generate_state(1)[0]) for seq in root.spawn(n)]
@@ -281,7 +283,7 @@ def run_collective(
         AgentTrajectory(agent_id=i, records=tuple(records[i])) for i in range(n)
     )
     extras = {
-        "true_what": true_what,
+        "true_what": ELEPHANT,
         "locations": locations,
         "decode_errors": [len(ep.decode_errors) for ep in endpoints] if endpoints else [],
     }
@@ -294,7 +296,7 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
     else:
         result = run_collective(cfg)
     if cfg.out_dir is not None:
-        write_logs(result, cfg.out_dir)
+        result = replace(result, logs=tuple(write_logs(result, cfg.out_dir)))
     return result
 
 
@@ -362,21 +364,10 @@ def write_logs(result: RunResult, out_dir) -> list[Path]:
         "final_mean_pairwise_synchrony": (
             result.synchrony_series[-1] if result.synchrony_series else None
         ),
-        "extras": _jsonable(result.extras),
+        "extras": result.extras,
     }
     manifest_path = out / "manifest.json"
     manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     written.append(manifest_path)
     return written
 
-
-def _jsonable(value):
-    if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, (np.floating,)):
-        return float(value)
-    return value

@@ -28,8 +28,12 @@ from .core import (
 
 ENUMERATION_GUARD = 10**6
 
-# Weight of the old log-posterior in each damped mean-field update.
+# Weight of the old log-posterior in each damped mean-field update; the fixed
+# point is declared once no posterior moves by TOL (L-inf) in one sweep, and
+# MAX_ITERS sweeps end the search either way.
 DAMPING = 0.5
+MAX_ITERS = 50
+TOL = 1e-8
 
 # Finite stand-ins for ln 0. Both sit above ln of the smallest normal double
 # (about -708), so a state kept alive only by a floor scores exp(floor) ~ 1e-300
@@ -179,14 +183,12 @@ def infer_states(
     m: GenerativeModel,
     obs: Sequence[int],
     prior: BeliefState | None = None,
-    max_iters: int = 50,
-    tol: float = 1e-8,
 ) -> MeanFieldResult:
     """Mean-field fixed point: sweep factors, each posterior proportional to
     exp(ln prior + expected log-likelihood under the other factors' posteriors).
 
     Updates are damped in log space. Stops when the L-inf posterior change
-    drops below tol; otherwise returns the best effort with converged=False.
+    drops below TOL; otherwise returns the best effort with converged=False.
     """
     log_like = joint_log_likelihood(m, obs)
     priors = (prior or m.initial_belief()).arrays()
@@ -197,7 +199,7 @@ def infer_states(
     F = m.num_factors
     iterations = 0
     residual = float("inf")
-    for iterations in range(1, max_iters + 1):
+    for iterations in range(1, MAX_ITERS + 1):
         worst = 0.0
         for f in range(F):
             others = [qs[g] for g in range(F) if g != f]
@@ -221,12 +223,12 @@ def infer_states(
             worst = max(worst, float(np.max(np.abs(new_q - qs[f]))))
             qs[f] = new_q
         residual = worst
-        if residual < tol:
+        if residual < TOL:
             break
     belief = BeliefState(tuple(Categorical(snap(q)) for q in qs))
     return MeanFieldResult(
         belief=belief,
-        converged=residual < tol,
+        converged=residual < TOL,
         iterations=iterations,
         residual=residual,
     )
@@ -236,18 +238,15 @@ def update_likelihood_counts(
     counts: DirichletCounts,
     obs: int,
     q: BeliefState,
-    lr: float = 1.0,
 ) -> DirichletCounts:
-    """counts[o, s1, ...] += lr * prod_f q_f(s_f), for the observed o only."""
-    if lr <= 0:
-        raise ValueError("learning rate must be > 0")
+    """counts[o, s1, ...] += prod_f q_f(s_f), for the observed o only."""
     expected = counts.counts.shape[1:]
     if q.dims != expected:
         raise ShapeMismatchError(f"belief dims {q.dims} != count state dims {expected}")
     if not (0 <= obs < counts.counts.shape[0]):
         raise ShapeMismatchError(f"outcome {obs} outside [0, {counts.counts.shape[0]})")
     new = counts.counts.copy()
-    new[obs] += lr * _expected_joint(q.arrays())
+    new[obs] += _expected_joint(q.arrays())
     return DirichletCounts(new)
 
 
@@ -256,11 +255,8 @@ def update_transition_counts(
     q_prev: Categorical,
     q_next: Categorical,
     u: int,
-    lr: float = 1.0,
 ) -> DirichletCounts:
-    """counts[s', s, u] += lr * q_next(s') * q_prev(s)."""
-    if lr <= 0:
-        raise ValueError("learning rate must be > 0")
+    """counts[s', s, u] += q_next(s') * q_prev(s)."""
     d_next, d_prev, n_controls = counts.counts.shape
     if q_next.dim != d_next or q_prev.dim != d_prev:
         raise ShapeMismatchError(
@@ -269,7 +265,7 @@ def update_transition_counts(
     if not (0 <= u < n_controls):
         raise ShapeMismatchError(f"control {u} outside [0, {n_controls})")
     new = counts.counts.copy()
-    new[:, :, u] += lr * np.outer(q_next.probs, q_prev.probs)
+    new[:, :, u] += np.outer(q_next.probs, q_prev.probs)
     return DirichletCounts(new)
 
 

@@ -31,7 +31,7 @@ from .inference import _expected_joint, _marginals
 DEFAULT_GAMMA = 16.0
 DEFAULT_DEPTH = 2
 DEFAULT_PRUNE = 1.0 / 16.0
-DEFAULT_NODE_BUDGET = 10**5
+NODE_BUDGET = 10**5
 
 
 class BadControlIndexError(ValueError):
@@ -171,7 +171,6 @@ def sophisticated_root_values(
     belief: BeliefState,
     depth: int = DEFAULT_DEPTH,
     prune_threshold: float = DEFAULT_PRUNE,
-    node_budget: int = DEFAULT_NODE_BUDGET,
 ) -> tuple[list[tuple[int, ...]], np.ndarray, list[EFEReport]]:
     """Per-action values at the root of the recursive planner, and the
     one-step EFE report of each root action.
@@ -180,8 +179,8 @@ def sophisticated_root_values(
 
     Within one call, each (belief, action) node, the belief known by the exact
     bytes of its factor arrays, computes its EFE report and its branches once,
-    and each (belief, action, depth) value is computed once. node_budget
-    counts those distinct values; repeat visits are free.
+    and each (belief, action, depth) value is computed once. NODE_BUDGET
+    caps those distinct values; repeat visits are free.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
@@ -196,8 +195,8 @@ def sophisticated_root_values(
         if value is not None:
             return value
         evaluated += 1
-        if evaluated > node_budget:
-            raise BudgetExceededError(f"planner exceeded {node_budget} node evaluations")
+        if evaluated > NODE_BUDGET:
+            raise BudgetExceededError(f"planner exceeded {NODE_BUDGET} node evaluations")
         node = nodes.get((key, u))
         if node is None:
             node = nodes[key, u] = [expected_free_energy(m, b, Policy((u,))), None]

@@ -12,8 +12,8 @@ import numpy as np
 from beliefmesh.core import BeliefState, Categorical, GenerativeModel, Policy
 from beliefmesh.planning import (
     DEFAULT_DEPTH,
-    DEFAULT_NODE_BUDGET,
     DEFAULT_PRUNE,
+    NODE_BUDGET,
     BudgetExceededError,
     expected_free_energy,
     expected_states,
@@ -69,7 +69,7 @@ def sophisticated_root_values(
     belief: BeliefState,
     depth: int = DEFAULT_DEPTH,
     prune_threshold: float = DEFAULT_PRUNE,
-    node_budget: int = DEFAULT_NODE_BUDGET,
+    node_budget: int = NODE_BUDGET,
 ) -> tuple[list[tuple[int, ...]], np.ndarray]:
     """Per-action values at the root of the recursive planner.
 

@@ -1,5 +1,7 @@
 """CLI behavior: flag precedence, exit codes, and the declared console-script entry point."""
 
+import argparse
+import dataclasses
 import json
 import subprocess
 import sys
@@ -7,7 +9,8 @@ from pathlib import Path
 
 import pytest
 
-from beliefmesh.cli import main
+from beliefmesh.cli import build_parser, main
+from beliefmesh.config import ExperimentConfig
 
 
 def read_manifest(out_dir):
@@ -83,6 +86,12 @@ class TestPrecedence:
         assert rc == 0
         assert "agents=3" in capsys.readouterr().out
 
+    def test_every_run_flag_names_a_config_field(self):
+        (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+        dests = {a.dest for a in sub.choices["run"]._actions} - {"help", "config"}
+        assert dests <= {f.name for f in dataclasses.fields(ExperimentConfig)}
+        assert "out_dir" in dests
+
     def test_share_and_no_share_conflict(self):
         with pytest.raises(SystemExit) as exc:
             main(["run", "elephant", "--share", "--no-share"])
@@ -101,6 +110,17 @@ class TestOutput:
         out = capsys.readouterr().out
         assert "actions=3,1" in out
         assert "reward_side=0" in out
+
+    def test_lists_only_the_files_it_wrote(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        (out / "older").mkdir(parents=True)
+        for name in ("notes.txt", "agent3.csv", "agent4.csv"):
+            (out / name).write_text("left by someone else")
+        rc = main(["run", "elephant", "--steps", "1", "--out", str(out)])
+        assert rc == 0
+        wrote = [line for line in capsys.readouterr().out.splitlines() if line.startswith("wrote")]
+        names = ("agent0.csv", "agent1.csv", "agent2.csv", "manifest.json")
+        assert wrote == [f"wrote {out / name}" for name in names]
 
     def test_socket_transport_runs_from_the_cli(self, tmp_path):
         out = tmp_path / "out"

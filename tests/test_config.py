@@ -27,6 +27,20 @@ def test_minimal_config_uses_documented_defaults():
     assert cfg.out_dir is None
 
 
+def test_agents_default_depends_on_the_scenario():
+    assert ExperimentConfig(scenario="tmaze").agents == 1
+    assert ExperimentConfig(scenario="elephant").agents == 3
+    assert config_from_dict({"scenario": "elephant"}) == ExperimentConfig(
+        scenario="elephant", agents=3
+    )
+
+
+def test_real_fields_are_stored_as_floats():
+    cfg = ExperimentConfig(scenario="tmaze", gamma=4, prune_threshold=0, noise=1)
+    assert [type(v) for v in (cfg.gamma, cfg.prune_threshold, cfg.noise)] == [float] * 3
+    assert cfg == ExperimentConfig(scenario="tmaze", gamma=4.0, prune_threshold=0.0, noise=1.0)
+
+
 def test_config_is_frozen():
     cfg = ExperimentConfig(scenario="tmaze")
     with pytest.raises(dataclasses.FrozenInstanceError):
@@ -76,6 +90,31 @@ def test_elephant_needs_two_agents():
 def test_k_cannot_exceed_available_sources():
     with pytest.raises(ConfigInvalidError, match="exceeds"):
         ExperimentConfig(scenario="elephant", agents=3, k=3)
+
+
+def test_problem_texts():
+    with pytest.raises(ConfigInvalidError) as err:
+        ExperimentConfig(
+            scenario="tmaze",
+            agents=0,
+            steps=True,
+            seed=-1,
+            k=0,
+            gamma=True,
+            depth=1.5,
+            prune_threshold="0",
+            noise=2,
+        )
+    assert err.value.problems == [
+        "agents must be a positive integer, got 0",
+        "steps must be a positive integer, got True",
+        "seed must be a non-negative integer, got -1",
+        "k must be a positive integer or null, got 0",
+        "gamma must be a positive number, got True",
+        "depth must be a positive integer, got 1.5",
+        "prune_threshold must lie in [0, 1), got '0'",
+        "noise must lie in [0, 1], got 2",
+    ]
 
 
 def test_error_lists_every_problem_at_once():

@@ -338,6 +338,19 @@ class TestCollective:
         run_collective(elephant_cfg(agents=7, steps=1))
         assert built == [0, 1, 2]
 
+    def test_numpy_integer_locations_write_the_same_manifest(self, tmp_path):
+        cfg = elephant_cfg(agents=2)
+        write_logs(run_collective(cfg, locations=[np.int64(0), 1]), tmp_path / "numpy")
+        write_logs(run_collective(cfg, locations=[0, 1]), tmp_path / "python")
+        manifest = "manifest.json"
+        assert (tmp_path / "numpy" / manifest).read_bytes() == (
+            tmp_path / "python" / manifest
+        ).read_bytes()
+
+    def test_fractional_location_is_rejected_by_name(self):
+        with pytest.raises(TypeError, match=r"locations must be integers, got \[0\.5, 1\]"):
+            run_collective(elephant_cfg(agents=2), locations=[0.5, 1])
+
     def test_location_override_must_name_vantage_points(self):
         with pytest.raises(ValueError, match="location 3 outside"):
             run_collective(elephant_cfg(agents=2), locations=[0, 3])
@@ -353,6 +366,23 @@ class TestCollective:
             for traj in r.trajectories
         ]
         assert max(gaps) > 0.1
+
+
+class TestCollectiveAgainstReference:
+    """Whole runs against collective_reference.run_collective, byte for byte
+    in the logs; noise 0 takes the floored-evidence path."""
+
+    @pytest.mark.parametrize("noise", [0.0, 0.05, 0.3, 0.5])
+    @pytest.mark.parametrize("n", [2, 5, 12])
+    def test_logs_match_the_reference_run(self, tmp_path, n, noise):
+        variants = [dict(transport=t, k=k) for t in ("mem", "socket") for k in (1, None)]
+        for i, variant in enumerate(variants + [dict(share=False)]):
+            cfg = elephant_cfg(agents=n, steps=4, noise=noise, **variant)
+            got = write_logs(run_collective(cfg), tmp_path / f"got{i}")
+            want = write_logs(collective_reference.run_collective(cfg), tmp_path / f"want{i}")
+            assert [(p.name, p.read_bytes()) for p in got] == [
+                (p.name, p.read_bytes()) for p in want
+            ], variant
 
 
 class TestLogs:
@@ -412,6 +442,26 @@ class TestLogs:
         assert manifest["final_mean_pairwise_synchrony"] == r.synchrony_series[-1]
         assert manifest["extras"]["true_what"] == ELEPHANT
 
+    @pytest.mark.parametrize(
+        "a, b",
+        [
+            (dict(scenario="tmaze", gamma=4), dict(scenario="tmaze", gamma=4.0)),
+            (
+                dict(scenario="tmaze", noise=0, prune_threshold=0),
+                dict(scenario="tmaze", noise=0.0, prune_threshold=0.0),
+            ),
+            (dict(scenario="elephant"), dict(scenario="elephant", agents=3)),
+        ],
+    )
+    def test_equal_configs_write_identical_manifests(self, tmp_path, a, b):
+        cfg_a, cfg_b = ExperimentConfig(**a, steps=1), ExperimentConfig(**b, steps=1)
+        assert cfg_a == cfg_b
+        write_logs(run_experiment(cfg_a), tmp_path / "a")
+        write_logs(run_experiment(cfg_b), tmp_path / "b")
+        assert (tmp_path / "a" / "manifest.json").read_bytes() == (
+            tmp_path / "b" / "manifest.json"
+        ).read_bytes()
+
     def test_tmaze_manifest_has_no_synchrony(self, tmp_path):
         r = run_single_agent(tmaze_cfg())
         write_logs(r, tmp_path)
@@ -425,10 +475,11 @@ class TestRunExperiment:
         cfg = ExperimentConfig(scenario="tmaze", steps=2, seed=1, out_dir=str(out))
         result = run_experiment(cfg)
         assert isinstance(result, RunResult)
-        assert (out / "agent0.csv").exists()
-        assert (out / "manifest.json").exists()
+        assert result.logs == (out / "agent0.csv", out / "manifest.json")
+        assert all(path.exists() for path in result.logs)
 
     def test_no_out_dir_writes_nothing(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
-        run_experiment(ExperimentConfig(scenario="tmaze", steps=1, seed=0))
+        result = run_experiment(ExperimentConfig(scenario="tmaze", steps=1, seed=0))
         assert list(tmp_path.iterdir()) == []
+        assert result.logs == ()

@@ -6,6 +6,7 @@ from itertools import product
 import numpy as np
 import pytest
 
+from beliefmesh import inference
 from beliefmesh.core import (
     Categorical,
     DimMismatchError,
@@ -242,9 +243,11 @@ class TestInferStates:
             assert f_result >= -log_ev - 1e-9
             assert f_result <= f_prior + 1e-9
 
-    def test_nonconvergence_is_flagged_not_raised(self):
+    def test_nonconvergence_is_flagged_not_raised(self, monkeypatch):
         m = two_state_model(a=[[0.9, 0.1], [0.1, 0.9]])
-        result = infer_states(m, (0,), max_iters=1, tol=1e-12)
+        monkeypatch.setattr(inference, "MAX_ITERS", 1)
+        monkeypatch.setattr(inference, "TOL", 1e-12)
+        result = infer_states(m, (0,))
         assert not result.converged
         assert result.iterations == 1
         assert result.residual > 1e-12

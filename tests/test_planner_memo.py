@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import planner_reference as reference
-from beliefmesh import harness
+from beliefmesh import harness, planning
 from beliefmesh.config import ExperimentConfig
 from beliefmesh.core import Policy
 from beliefmesh.envs import build_tmaze_model
@@ -90,7 +90,7 @@ def test_all_pruned_keeps_the_most_probable_branch():
 
 
 class TestNodeBudget:
-    """node_budget counts distinct (belief, action, depth) nodes; repeats are free."""
+    """NODE_BUDGET counts distinct (belief, action, depth) nodes; repeats are free."""
 
     def setup_method(self):
         self.m = build_tmaze_model()
@@ -100,20 +100,18 @@ class TestNodeBudget:
     def test_the_tmaze_tree_revisits_nodes(self):
         assert self.visits > self.distinct
 
-    def test_budget_of_exactly_the_distinct_nodes_succeeds(self):
-        actions, values, _ = sophisticated_root_values(
-            self.m, self.belief, depth=3, node_budget=self.distinct
-        )
+    def test_budget_of_exactly_the_distinct_nodes_succeeds(self, monkeypatch):
+        monkeypatch.setattr(planning, "NODE_BUDGET", self.distinct)
+        actions, values, _ = sophisticated_root_values(self.m, self.belief, depth=3)
         ref_actions, ref_values = reference.sophisticated_root_values(
             self.m, self.belief, depth=3
         )
         assert actions == ref_actions and np.array_equal(values, ref_values)
 
-    def test_one_node_fewer_raises(self):
+    def test_one_node_fewer_raises(self, monkeypatch):
+        monkeypatch.setattr(planning, "NODE_BUDGET", self.distinct - 1)
         with pytest.raises(BudgetExceededError):
-            sophisticated_root_values(
-                self.m, self.belief, depth=3, node_budget=self.distinct - 1
-            )
+            sophisticated_root_values(self.m, self.belief, depth=3)
 
 
 def test_tmaze_logs_match_the_reference_planner(tmp_path, monkeypatch):

@@ -6,6 +6,7 @@ from itertools import product
 import numpy as np
 import pytest
 
+from beliefmesh import planning
 from beliefmesh.core import (
     BeliefState,
     Categorical,
@@ -288,11 +289,12 @@ class TestSophisticatedPlanner:
         action, value = plan(m, m.initial_belief(), depth=2, prune_threshold=0.5)
         assert np.isfinite(value)
 
-    def test_budget_exceeded(self):
+    def test_budget_exceeded(self, monkeypatch):
         rng = np.random.default_rng(53)
         m = random_model(rng, num_factors=2, num_modalities=2)
+        monkeypatch.setattr(planning, "NODE_BUDGET", 5)
         with pytest.raises(BudgetExceededError):
-            plan(m, m.initial_belief(), depth=3, node_budget=5)
+            plan(m, m.initial_belief(), depth=3)
 
     def test_root_values_align_with_actions(self):
         rng = np.random.default_rng(59)
