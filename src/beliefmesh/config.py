@@ -12,6 +12,12 @@ from .planning import DEFAULT_DEPTH, DEFAULT_GAMMA, DEFAULT_PRUNE
 
 SCENARIOS = ("tmaze", "elephant")
 TRANSPORTS = ("mem", "socket")
+# fields a scenario never reads, at the one value that says so: any other
+# value would record a run that did not happen
+UNREAD = {
+    "tmaze": {"agents": 1, "k": None, "share": True, "noise": DEFAULT_NOISE, "transport": "mem"},
+    "elephant": {"gamma": DEFAULT_GAMMA, "depth": DEFAULT_DEPTH, "prune_threshold": DEFAULT_PRUNE},
+}
 
 
 class ConfigInvalidError(ValueError):
@@ -93,6 +99,11 @@ def validate_config_fields(cfg) -> list[str]:
         problems.append(f"transport must be one of {TRANSPORTS}, got {cfg.transport!r}")
     if cfg.out_dir is not None and not isinstance(cfg.out_dir, str):
         problems.append(f"out_dir must be a path string or null, got {cfg.out_dir!r}")
+    if not problems:
+        for name, unread in UNREAD[cfg.scenario].items():
+            if getattr(cfg, name) != unread:
+                problems.append(f"{cfg.scenario} does not read {name}: leave it at {unread!r}, "
+                                f"got {getattr(cfg, name)!r}")
     return problems
 
 

@@ -211,9 +211,7 @@ def log_stable(p: np.ndarray) -> np.ndarray:
 
 def entropy(p) -> float:
     """Shannon entropy in nats, 0 * ln 0 = 0."""
-    probs = _as_vector(p)
-    logs = np.where(probs > 0, log_stable(probs), 0.0)
-    return float(-(probs * logs).sum())
+    return float(conditional_entropies(_as_vector(p)))
 
 
 def conditional_entropies(likelihood: np.ndarray) -> np.ndarray:
@@ -222,26 +220,19 @@ def conditional_entropies(likelihood: np.ndarray) -> np.ndarray:
     return -(likelihood * logs).sum(axis=0)
 
 
+def kl_rows(q: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """KL(q || p) in nats along the last axis, 0 * ln 0 = 0. Where q > 0 meets
+    p = 0, ln 0 = -inf makes the divergence +inf."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(q > 0, q * (np.log(q) - np.log(p)), 0.0).sum(axis=-1)
+
+
 def kl_divergence(q, p) -> float:
     """KL(q || p) in nats. +inf where q puts mass that p excludes."""
     qv, pv = _as_vector(q), _as_vector(p)
     if qv.size != pv.size:
         raise DimMismatchError(f"KL operands differ in dimension: {qv.size} vs {pv.size}")
-    support = qv > 0
-    if np.any(support & (pv == 0)):
-        return float("inf")
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.where(support, qv * (np.log(qv) - np.log(pv)), 0.0)
-    return float(terms.sum())
-
-
-def js_divergence(a, b) -> float:
-    """Jensen-Shannon divergence in nats; symmetric, bounded by ln 2."""
-    av, bv = _as_vector(a), _as_vector(b)
-    if av.size != bv.size:
-        raise DimMismatchError(f"JS operands differ in dimension: {av.size} vs {bv.size}")
-    m = 0.5 * (av + bv)
-    return 0.5 * kl_divergence(av, m) + 0.5 * kl_divergence(bv, m)
+    return float(kl_rows(qv, pv))
 
 
 def column_faults(t: np.ndarray) -> tuple[tuple | None, np.ndarray, list[tuple]]:

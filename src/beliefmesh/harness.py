@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import csv
 import json
-import operator
 import sys
 from dataclasses import dataclass, field, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +26,7 @@ from .core import (
     GenerativeModel,
     Policy,
     _as_vector,
+    kl_rows,
 )
 from .envs import (
     ELEPHANT,
@@ -87,15 +88,9 @@ class RunResult:
     logs: tuple[Path, ...] = ()  # the files run_experiment wrote, if any
 
 
-def _kl_rows(q: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """core.kl_divergence of each row pair, summed in its order. Where q > 0
-    meets p = 0, ln 0 = -inf makes the row +inf, as core's explicit check does."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(q > 0, q * (np.log(q) - np.log(p)), 0.0).sum(axis=1)
-
-
 def mean_pairwise_synchrony(beliefs) -> float:
-    """Mean over all pairs of core.js_divergence clamped at 0, bit for bit;
+    """Mean over all pairs of the Jensen-Shannon divergence in nats, each
+    clamped at 0, bit for bit the pair-by-pair loop of tests/collective_reference.py;
     0 means aligned, ln 2 means disjoint support."""
     beliefs = list(beliefs)
     if len(beliefs) < 2:
@@ -106,7 +101,7 @@ def mean_pairwise_synchrony(beliefs) -> float:
     # pairs in the order of itertools.combinations
     a, b = np.stack(vectors)[np.vstack(np.triu_indices(len(vectors), k=1))]
     mid = 0.5 * (a + b)
-    js = 0.5 * _kl_rows(a, mid) + 0.5 * _kl_rows(b, mid)
+    js = 0.5 * kl_rows(a, mid) + 0.5 * kl_rows(b, mid)
     return float(np.mean(np.where(js > 0.0, js, 0.0)))
 
 
@@ -174,23 +169,14 @@ def run_single_agent(cfg: ExperimentConfig, model: GenerativeModel | None = None
     return RunResult(cfg, (trajectory,), (), extras)
 
 
-def run_collective(cfg: ExperimentConfig, locations: list[int] | None = None) -> RunResult:
+def run_collective(cfg: ExperimentConfig) -> RunResult:
     """N agents around one scene, each feeling its own corner, optionally
-    pooling log-evidence about the shared factor over the wire.
-
-    locations defaults to spreading agents over the vantage points in order;
-    pass an explicit list to co-locate agents."""
+    pooling log-evidence about the shared factor over the wire. Agent i
+    watches from vantage point i % NUM_LOCATIONS, round-robin."""
     if cfg.scenario != "elephant":
         raise ValueError(f"run_collective handles the elephant scenario, got {cfg.scenario!r}")
     n = cfg.agents
-    if locations is None:
-        locations = [i % NUM_LOCATIONS for i in range(n)]
-    elif len(locations) != n:
-        raise ValueError(f"{len(locations)} locations for {n} agents")
-    try:
-        locations = [operator.index(loc) for loc in locations]
-    except TypeError as exc:
-        raise TypeError(f"locations must be integers, got {locations!r}") from exc
+    locations = [i % NUM_LOCATIONS for i in range(n)]
     ref_prior = Categorical.uniform(len(WHAT_NAMES))
     addresses = [SpatialAddress(("room", f"agent-{i}")) for i in range(n)]
     built = {loc: build_elephant_model(loc, noise=cfg.noise) for loc in sorted(set(locations))}
@@ -203,18 +189,18 @@ def run_collective(cfg: ExperimentConfig, locations: list[int] | None = None) ->
 
     hub = None
     endpoints = []
-    if cfg.share:
-        if cfg.transport == "socket":
-            hub = SocketHub()
-            endpoints = [SocketEndpoint(hub.address, f"agent-{i}") for i in range(n)]
-        else:
-            bus = MemoryBus()
-            endpoints = [bus.endpoint(f"agent-{i}") for i in range(n)]
-
     cumulative = [np.zeros(3) for _ in range(n)]
     records = [[] for _ in range(n)]
     synchrony_series = []
     try:
+        if cfg.share:
+            if cfg.transport == "socket":
+                hub = SocketHub()
+                connect = partial(SocketEndpoint, hub.address)
+            else:
+                connect = MemoryBus().endpoint
+            for i in range(n):  # one at a time, so a failed connect closes those before it
+                endpoints.append(connect(f"agent-{i}"))
         for t in range(cfg.steps):
             if t > 0:
                 observations = [envs[i].step() for i in range(n)]

@@ -92,7 +92,3 @@ class BeliefMessage:
             and self.log_evidence.shape == other.log_evidence.shape
             and bool(np.all(self.log_evidence == other.log_evidence))
         )
-
-    def __hash__(self):
-        return hash((self.origin, self.factor_id, self.timestamp, self.precision,
-                     self.log_evidence.tobytes()))

@@ -1,7 +1,8 @@
 """Reference source selection, synchrony and whole collective run: the loops
 the collective used before it scored each distinct likelihood once and
-computed synchrony with array ops, copied unchanged, and a run of the elephant
-room built on them.
+computed synchrony with array ops, copied unchanged, the pairwise
+Jensen-Shannon divergence they measure synchrony with, and a run of the
+elephant room built on them.
 
 Kept so the production routines can be checked against them with ==: the
 same ids in the same order, the same float bit for bit, and the same log bytes.
@@ -13,7 +14,15 @@ from itertools import combinations
 
 import numpy as np
 
-from beliefmesh.core import BeliefState, Categorical, js_divergence, log_stable, normalized_exp
+from beliefmesh.core import (
+    BeliefState,
+    Categorical,
+    DimMismatchError,
+    _as_vector,
+    kl_divergence,
+    log_stable,
+    normalized_exp,
+)
 from beliefmesh.envs import (
     NUM_LOCATIONS,
     WHAT_NAMES,
@@ -39,6 +48,15 @@ def select_sources(belief, sources, k: int) -> list:
     ]
     scored.sort(key=lambda pair: (-pair[0], pair[1]))
     return [sid for _, sid in scored[:k]]
+
+
+def js_divergence(a, b) -> float:
+    """Jensen-Shannon divergence in nats; symmetric, bounded by ln 2."""
+    av, bv = _as_vector(a), _as_vector(b)
+    if av.size != bv.size:
+        raise DimMismatchError(f"JS operands differ in dimension: {av.size} vs {bv.size}")
+    m = 0.5 * (av + bv)
+    return 0.5 * kl_divergence(av, m) + 0.5 * kl_divergence(bv, m)
 
 
 def synchrony(p, q) -> float:

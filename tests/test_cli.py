@@ -67,13 +67,14 @@ class TestPrecedence:
         assert manifest["config"]["steps"] == 2  # flag wins
         assert manifest["config"]["seed"] == 9  # file survives where not overridden
 
-    def test_positional_scenario_overrides_config_file(self, tmp_path):
+    def test_positional_scenario_overrides_config_file(self, tmp_path, capsys):
         cfg = tmp_path / "exp.json"
         cfg.write_text(json.dumps({"scenario": "elephant", "agents": 3}))
         out = tmp_path / "out"
         rc = main(["run", "tmaze", "--config", str(cfg), "--steps", "1", "--out", str(out)])
-        assert rc == 0
-        assert read_manifest(out)["config"]["scenario"] == "tmaze"
+        assert rc == 2
+        assert "tmaze does not read agents" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_no_share_flag(self, tmp_path):
         out = tmp_path / "out"

@@ -118,6 +118,25 @@ wire_messages = st.builds(
 )
 
 
+class TestMessageFields:
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: SpatialAddress(("a",), (1.0, 2.0)), "coords must be three reals"),
+            (lambda: minimal_message(factor_id=2**32), "factor_id 4294967296 outside u32 range"),
+            (lambda: minimal_message(timestamp=-1), "timestamp -1 outside u64 range"),
+        ],
+    )
+    def test_out_of_range_field_is_rejected(self, build, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            build()
+
+    def test_a_message_never_equals_another_type(self):
+        msg = minimal_message()
+        assert msg.__eq__(1) is NotImplemented
+        assert msg != 1
+
+
 class TestLayout:
     def test_minimal_message_is_44_bytes(self):
         wire = encode_message(minimal_message())

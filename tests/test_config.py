@@ -36,9 +36,12 @@ def test_agents_default_depends_on_the_scenario():
 
 
 def test_real_fields_are_stored_as_floats():
-    cfg = ExperimentConfig(scenario="tmaze", gamma=4, prune_threshold=0, noise=1)
+    cfg = ExperimentConfig(scenario="tmaze", gamma=4, prune_threshold=0)
     assert [type(v) for v in (cfg.gamma, cfg.prune_threshold, cfg.noise)] == [float] * 3
-    assert cfg == ExperimentConfig(scenario="tmaze", gamma=4.0, prune_threshold=0.0, noise=1.0)
+    assert cfg == ExperimentConfig(scenario="tmaze", gamma=4.0, prune_threshold=0.0)
+    cfg = ExperimentConfig(scenario="elephant", noise=1)
+    assert type(cfg.noise) is float
+    assert cfg == ExperimentConfig(scenario="elephant", noise=1.0)
 
 
 def test_config_is_frozen():
@@ -117,6 +120,51 @@ def test_problem_texts():
     ]
 
 
+@pytest.mark.parametrize(
+    "fields, problems",
+    [
+        (dict(scenario="tmaze", agents=3), ["tmaze does not read agents: leave it at 1, got 3"]),
+        (
+            dict(scenario="tmaze", agents=2, k=1),
+            [
+                "tmaze does not read agents: leave it at 1, got 2",
+                "tmaze does not read k: leave it at None, got 1",
+            ],
+        ),
+        (
+            dict(scenario="tmaze", share=False),
+            ["tmaze does not read share: leave it at True, got False"],
+        ),
+        (dict(scenario="tmaze", noise=0), ["tmaze does not read noise: leave it at 0.1, got 0"]),
+        (
+            dict(scenario="tmaze", transport="socket"),
+            ["tmaze does not read transport: leave it at 'mem', got 'socket'"],
+        ),
+        (
+            dict(scenario="elephant", gamma=4),
+            ["elephant does not read gamma: leave it at 16.0, got 4"],
+        ),
+        (
+            dict(scenario="elephant", depth=3),
+            ["elephant does not read depth: leave it at 2, got 3"],
+        ),
+        (
+            dict(scenario="elephant", prune_threshold=0.0),
+            ["elephant does not read prune_threshold: leave it at 0.0625, got 0.0"],
+        ),
+    ],
+)
+def test_a_field_the_scenario_does_not_read_must_keep_its_default(fields, problems):
+    with pytest.raises(ConfigInvalidError) as err:
+        ExperimentConfig(**fields)
+    assert err.value.problems == problems
+
+
+def test_unread_fields_at_their_defaults_are_accepted():
+    ExperimentConfig(scenario="tmaze", agents=1, k=None, share=True, noise=0.1, transport="mem")
+    ExperimentConfig(scenario="elephant", gamma=16, depth=2, prune_threshold=1 / 16)
+
+
 def test_error_lists_every_problem_at_once():
     with pytest.raises(ConfigInvalidError) as err:
         ExperimentConfig(scenario="nope", steps=0, gamma=-1.0)
@@ -141,9 +189,8 @@ class TestFromDict:
             config_from_dict(["tmaze"])
 
     def test_json_integers_accepted_for_float_fields(self):
-        cfg = config_from_dict({"scenario": "tmaze", "gamma": 4, "noise": 0})
-        assert cfg.gamma == 4.0
-        assert cfg.noise == 0.0
+        assert config_from_dict({"scenario": "tmaze", "gamma": 4}).gamma == 4.0
+        assert config_from_dict({"scenario": "elephant", "noise": 0}).noise == 0.0
 
     def test_boolean_is_not_a_number(self):
         with pytest.raises(ConfigInvalidError):

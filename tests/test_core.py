@@ -6,17 +6,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from beliefmesh.core import (
+    AllZeroError,
     Categorical,
     DimMismatchError,
     DirichletCounts,
     GenerativeModel,
     InvalidModelError,
     NegativeEntryError,
+    NonFiniteError,
     Policy,
     entropy,
-    js_divergence,
     kl_divergence,
+    normalized_exp,
 )
+
+from collective_reference import js_divergence
 
 
 def simplex(n, max_n=None):
@@ -107,11 +111,33 @@ class TestCategorical:
     def test_delta(self):
         np.testing.assert_array_equal(Categorical.delta(1, 3).probs, [0.0, 1.0, 0.0])
 
+    @pytest.mark.parametrize(
+        "probs, error, message",
+        [
+            (np.full((2, 2), 0.25), DimMismatchError, r"1-D vector, got shape \(2, 2\)"),
+            (np.array([]), DimMismatchError, r"1-D vector, got shape \(0,\)"),
+            (np.array([np.nan, 1.0]), NonFiniteError, "entries must be finite"),
+        ],
+    )
+    def test_rejects_malformed(self, probs, error, message):
+        with pytest.raises(error, match=message):
+            Categorical(probs)
+
+
+class TestNormalizedExp:
+    def test_all_minus_inf_has_no_direction(self):
+        with pytest.raises(AllZeroError, match="all logits are -inf"):
+            normalized_exp(np.array([-np.inf, -np.inf]))
+
 
 class TestDirichletCounts:
     def test_rejects_zero(self):
         with pytest.raises(ValueError):
             DirichletCounts(np.array([[1.0, 0.0], [1.0, 1.0]]))
+
+    def test_rejects_non_finite(self):
+        with pytest.raises(NonFiniteError, match="Dirichlet counts must be finite"):
+            DirichletCounts(np.array([1.0, np.inf]))
 
     def test_read_only(self):
         dc = DirichletCounts(np.ones((2, 2)))
@@ -216,3 +242,49 @@ class TestValidateModel:
     def test_b_without_a_control_axis_stops_the_check(self):
         (v,) = violations_of(B=(np.eye(2),))
         assert v.startswith("B[0]: shape (2, 2)")
+
+    @pytest.mark.parametrize(
+        "overrides, violations",
+        [
+            (
+                dict(factor_dims=(), B=(), D=()),
+                ["factor_dims: need at least one hidden factor"],
+            ),
+            (
+                dict(modality_dims=(), A=(), C=()),
+                ["modality_dims: need at least one modality"],
+            ),
+            (
+                dict(factor_dims=(1,)),
+                [
+                    "factor_dims[0]: cardinality 1 < 2",
+                    "A[0]: shape (2, 2) != (2, 1)",
+                    "B[0]: shape (2, 2, 2) incompatible with factor dim 1",
+                    "D[0]: dimension 2 != factor dim 1",
+                ],
+            ),
+            (
+                dict(modality_dims=(1,)),
+                [
+                    "modality_dims[0]: cardinality 1 < 2",
+                    "A[0]: shape (2, 2) != (1, 2)",
+                    "C[0]: shape (2,) != (1,)",
+                ],
+            ),
+            (
+                dict(B=(np.stack([[[1.1, 0.0], [-0.1, 1.0]], np.eye(2)], axis=2),)),
+                ["B[0][1, 0, 0]: negative entry -0.1"],
+            ),
+            (dict(C=(np.array([0.0, np.inf]),)), ["C[0]: non-finite log-preference"]),
+            (
+                dict(policies=(Policy(((0,),)), Policy(((0,), (1,))))),
+                ["policies: mixed horizons [1, 2]"],
+            ),
+            (
+                dict(policies=(Policy(((0,),)), Policy(((0, 1),)))),
+                ["policies[1]: 2 controls per step, expected 1"],
+            ),
+        ],
+    )
+    def test_each_violation_is_named(self, overrides, violations):
+        assert violations_of(**overrides) == violations

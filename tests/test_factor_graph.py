@@ -85,6 +85,37 @@ class TestConstruction:
         with pytest.raises(GraphStructureError, match="repeated"):
             FactorGraph([Variable("x", 2)], [Factor("f", ("x", "x"), [[1.0, 5.0], [5.0, 3.0]])])
 
+    @pytest.mark.parametrize(
+        "variables, factors, message",
+        [
+            ([], [], "graph needs at least one variable"),
+            ([Variable("x", 0)], [], "variable x: cardinality must be >= 1"),
+            (
+                [Variable("x", 2)],
+                [Factor("f", ("y",), np.ones(2))],
+                "factor f: unknown variable y",
+            ),
+        ],
+    )
+    def test_rejects_malformed_nodes(self, variables, factors, message):
+        with pytest.raises(GraphStructureError, match=f"^{message}$"):
+            FactorGraph(variables, factors)
+
+
+class TestContradictoryEvidence:
+    def test_all_zero_factor_is_an_all_zero_message(self):
+        g = FactorGraph([Variable("x", 2)], [Factor("f", ("x",), np.zeros(2))])
+        with pytest.raises(ZeroDivisionError, match="all-zero message f -> x: contradictory"):
+            sum_product(g)
+
+    def test_unary_factors_with_disjoint_support_leave_no_marginal(self):
+        g = FactorGraph(
+            [Variable("x", 2)],
+            [Factor("f", ("x",), np.array([1.0, 0.0])), Factor("g", ("x",), np.array([0.0, 1.0]))],
+        )
+        with pytest.raises(ZeroDivisionError, match="variable x: all marginal mass vanished"):
+            sum_product(g)
+
 
 
 

@@ -4,12 +4,13 @@ import csv
 import dataclasses
 import json
 import math
+import threading
 
 import numpy as np
 import pytest
 
-from beliefmesh.config import ExperimentConfig
-from beliefmesh.core import BeliefState, Categorical, DimMismatchError, Policy, js_divergence
+from beliefmesh.config import ExperimentConfig, config_from_dict
+from beliefmesh.core import BeliefState, Categorical, DimMismatchError, Policy
 from beliefmesh.envs import (
     ELEPHANT,
     TMAZE_CUE,
@@ -66,7 +67,7 @@ class TestSynchrony:
             p = rng.dirichlet(np.ones(4))
             q = rng.dirichlet(np.ones(4))
             assert pair_synchrony(p, q) == pytest.approx(pair_synchrony(q, p), abs=1e-15)
-            assert pair_synchrony(p, q) == max(0.0, js_divergence(p, q))
+            assert pair_synchrony(p, q) == max(0.0, collective_reference.js_divergence(p, q))
 
     def test_accepts_categoricals_and_rejects_dim_mismatch(self):
         assert pair_synchrony(Categorical.uniform(3), Categorical.uniform(3)) == 0.0
@@ -313,19 +314,29 @@ class TestCollective:
                 for rec in traj.records:
                     assert math.isfinite(rec.free_energy)
 
+    def test_failed_connect_closes_the_hub_and_the_endpoints_opened(self, monkeypatch):
+        opened = []
+
+        class FailingEndpoint(harness.SocketEndpoint):
+            def __init__(self, address, name=""):
+                if len(opened) == 2:
+                    raise OSError(24, "Too many open files")
+                super().__init__(address, name)
+                opened.append(self)
+
+        threads = threading.active_count()
+        monkeypatch.setattr(harness, "SocketEndpoint", FailingEndpoint)
+        with pytest.raises(OSError, match="Too many open files"):
+            run_collective(elephant_cfg(agents=4, transport="socket"))
+        assert threading.active_count() == threads
+        assert len(opened) == 2
+        assert all(ep._sock.fileno() == -1 for ep in opened)
+
     def test_more_agents_than_locations_wraps_vantage_points(self):
         r = run_collective(elephant_cfg(agents=5, steps=2))
         assert r.extras["locations"] == [0, 1, 2, 0, 1]
         for traj in r.trajectories:
             np.testing.assert_allclose(traj.records[0].beliefs[0], [1.0, 0.0, 0.0], atol=1e-12)
-
-    def test_two_agents_with_identical_observations_never_diverge(self):
-        r = run_collective(elephant_cfg(agents=2, steps=4), locations=[1, 1])
-        assert all(s == 0.0 for s in r.synchrony_series)
-
-    def test_location_override_must_match_agent_count(self):
-        with pytest.raises(ValueError, match="locations"):
-            run_collective(elephant_cfg(), locations=[0, 1])
 
     def test_one_model_per_vantage_point(self, monkeypatch):
         built = []
@@ -337,23 +348,6 @@ class TestCollective:
         monkeypatch.setattr(harness, "build_elephant_model", build)
         run_collective(elephant_cfg(agents=7, steps=1))
         assert built == [0, 1, 2]
-
-    def test_numpy_integer_locations_write_the_same_manifest(self, tmp_path):
-        cfg = elephant_cfg(agents=2)
-        write_logs(run_collective(cfg, locations=[np.int64(0), 1]), tmp_path / "numpy")
-        write_logs(run_collective(cfg, locations=[0, 1]), tmp_path / "python")
-        manifest = "manifest.json"
-        assert (tmp_path / "numpy" / manifest).read_bytes() == (
-            tmp_path / "python" / manifest
-        ).read_bytes()
-
-    def test_fractional_location_is_rejected_by_name(self):
-        with pytest.raises(TypeError, match=r"locations must be integers, got \[0\.5, 1\]"):
-            run_collective(elephant_cfg(agents=2), locations=[0.5, 1])
-
-    def test_location_override_must_name_vantage_points(self):
-        with pytest.raises(ValueError, match="location 3 outside"):
-            run_collective(elephant_cfg(agents=2), locations=[0, 3])
 
     def test_solo_posteriors_miss_the_pooled_truth_by_wide_margin(self):
         from beliefmesh.envs import pooled_elephant_posterior
@@ -447,9 +441,10 @@ class TestLogs:
         [
             (dict(scenario="tmaze", gamma=4), dict(scenario="tmaze", gamma=4.0)),
             (
-                dict(scenario="tmaze", noise=0, prune_threshold=0),
-                dict(scenario="tmaze", noise=0.0, prune_threshold=0.0),
+                dict(scenario="tmaze", prune_threshold=0),
+                dict(scenario="tmaze", prune_threshold=0.0),
             ),
+            (dict(scenario="elephant", noise=0), dict(scenario="elephant", noise=0.0)),
             (dict(scenario="elephant"), dict(scenario="elephant", agents=3)),
         ],
     )
@@ -461,6 +456,26 @@ class TestLogs:
         assert (tmp_path / "a" / "manifest.json").read_bytes() == (
             tmp_path / "b" / "manifest.json"
         ).read_bytes()
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            dict(scenario="tmaze", steps=2, seed=3, depth=3, gamma=4.0),
+            dict(scenario="elephant", agents=4, steps=3, seed=1, k=2, noise=0.2),
+            dict(scenario="elephant", steps=2, seed=2, transport="socket"),
+        ],
+    )
+    def test_the_manifest_config_replays_the_run(self, tmp_path, monkeypatch, fields):
+        # a relative out_dir, so the run and its replay record the same config
+        cfg = ExperimentConfig(**fields, out_dir="run")
+        logs = {}
+        for name in ("first", "replay"):
+            (tmp_path / name).mkdir()
+            monkeypatch.chdir(tmp_path / name)
+            logs[name] = [(p.name, p.read_bytes()) for p in run_experiment(cfg).logs]
+            cfg = config_from_dict(json.loads(logs[name][-1][1])["config"])
+            assert cfg == ExperimentConfig(**fields, out_dir="run")
+        assert logs["replay"] == logs["first"]
 
     def test_tmaze_manifest_has_no_synchrony(self, tmp_path):
         r = run_single_agent(tmaze_cfg())

@@ -83,6 +83,8 @@ class TestExactPosterior:
         m = two_state_model(a=[[1.0, 1.0], [0.0, 0.0]])
         with pytest.raises(ZeroEvidenceError):
             exact_posterior(m, (1,))
+        with pytest.raises(ZeroEvidenceError, match="observation impossible under the prior"):
+            infer_states(m, (1,))
 
     def test_enumeration_guard(self):
         big = GenerativeModel(
@@ -367,6 +369,11 @@ class TestTransitionLearning:
             state = nxt
         b_hat = dirichlet_mean(counts)[:, :, 0]
         np.testing.assert_allclose(b_hat, [[0.0, 1.0], [1.0, 0.0]], atol=0.05)
+
+    def test_belief_dims_must_match_the_counts(self):
+        counts = DirichletCounts(np.ones((2, 2, 1)))
+        with pytest.raises(ShapeMismatchError, match=r"beliefs \(3, 2\) != count dims \(2, 2\)"):
+            update_transition_counts(counts, Categorical.uniform(2), Categorical.uniform(3), 0)
 
     def test_control_out_of_range(self):
         counts = DirichletCounts(np.ones((2, 2, 1)))

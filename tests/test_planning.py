@@ -289,6 +289,11 @@ class TestSophisticatedPlanner:
         action, value = plan(m, m.initial_belief(), depth=2, prune_threshold=0.5)
         assert np.isfinite(value)
 
+    def test_depth_below_one_is_rejected(self):
+        m = chain_model([[0.9, 0.1], [0.1, 0.9]])
+        with pytest.raises(ValueError, match="depth must be >= 1"):
+            sophisticated_root_values(m, m.initial_belief(), depth=0)
+
     def test_budget_exceeded(self, monkeypatch):
         rng = np.random.default_rng(53)
         m = random_model(rng, num_factors=2, num_modalities=2)
