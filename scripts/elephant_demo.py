@@ -8,7 +8,7 @@ alone.  The felt features do distinguish the candidates jointly, which makes
 the scenario a clean test of evidence sharing: fuse the right peers' evidence
 and the joint posterior snaps to the truth.
 
-The demo runs the same seeds twice (sharing on, sharing off) and reports
+The demo runs the same seeds twice (sharing on, and off with k=0) and reports
 
   * the belief each agent holds over {elephant, statue, empty} at the end,
   * the probability each assigns to the true object,
@@ -35,14 +35,13 @@ from beliefmesh.harness import WHAT_FACTOR_ID, RunResult, run_collective
 LABELS = ("elephant", "statue", "empty")
 
 
-def run(share: bool, args: argparse.Namespace) -> RunResult:
+def run(k: int | None, args: argparse.Namespace) -> RunResult:
     cfg = ExperimentConfig(
         scenario="elephant",
         agents=args.agents,
         steps=args.steps,
         seed=args.seed,
-        share=share,
-        k=args.k if share else None,
+        k=k,
         noise=args.noise,
     )
     return run_collective(cfg)
@@ -75,8 +74,8 @@ def main(argv: list[str] | None = None) -> int:
                         help="peers fused per round (default: all)")
     args = parser.parse_args(argv)
 
-    shared = run(share=True, args=args)
-    solo = run(share=False, args=args)
+    shared = run(k=args.k, args=args)
+    solo = run(k=0, args=args)
 
     report("ON", shared)
     report("OFF", solo)

@@ -1,8 +1,10 @@
 #!/usr/bin/env python3
-"""Digest of the CSV logs and manifest of a fixed set of runs, one line per run.
+"""Digest of the CSV logs and manifest of a fixed set of runs, one line per run:
+the run's label, its config, a sha256 over its CSVs and one over its manifest.
 
 A change that must leave every log byte-identical is checked by running this
-at both commits and comparing the output:
+at both commits and comparing the output; a change to the manifest alone
+leaves the CSV column as it was:
 
     python3 scripts/log_digest.py > after.txt
     python3 scripts/log_digest.py --src /path/to/other/checkout/src > before.txt
@@ -10,9 +12,10 @@ at both commits and comparing the output:
 
 The runs: tmaze at depth 1-4, seeds 0-7, 3 steps, with the default config,
 gamma=1.0 and prune_threshold=0.0, plus the flat-preference model of
-tmaze_sweep.py; elephant on the mem bus, 4 steps, n = 3, 7 and 12 with every
-k and k=None, sharing on and off, and n = 64 with k=None; elephant on the
-socket transport, 4 steps, n = 3 and 12 with k=None. Seeds 0-1 for elephant.
+tmaze_sweep.py; elephant on the mem bus, 4 steps, n = 3, 7 and 12 with k from
+1 to n - 1, and n = 3, 7, 12 and 64 with k=None and with k=0 (no sharing);
+elephant on the socket transport, 4 steps, n = 3 and 12 with k=None. Seeds
+0-1 for elephant.
 """
 
 from __future__ import annotations
@@ -32,9 +35,8 @@ def runs(ExperimentConfig):
             yield ExperimentConfig(scenario="tmaze", steps=3, seed=seed, depth=depth), "flat"
     for n, ks in ((3, range(1, 3)), (7, range(1, 7)), (12, range(1, 12)), (64, ())):
         for seed in range(2):
-            for k in (*ks, None):
+            for k in (*ks, None, 0):
                 yield ExperimentConfig(scenario="elephant", agents=n, steps=4, seed=seed, k=k), None
-            yield ExperimentConfig(scenario="elephant", agents=n, steps=4, seed=seed, share=False), None
     for n in (3, 12):
         for seed in range(2):
             yield ExperimentConfig(scenario="elephant", agents=n, steps=4, seed=seed, transport="socket"), None
@@ -58,11 +60,12 @@ def main(argv: list[str] | None = None) -> int:
                 result = run_single_agent(cfg, model=model)
             else:
                 result = run_collective(cfg)
-            digest = hashlib.sha256()
+            csvs, manifest = hashlib.sha256(), hashlib.sha256()
             for path in sorted(write_logs(result, Path(tmp) / str(i))):
+                digest = csvs if path.suffix == ".csv" else manifest
                 digest.update(path.name.encode() + b"\0" + path.read_bytes())
             fields = {k: v for k, v in cfg.to_dict().items() if k != "out_dir"}
-            print(variant or "default", fields, digest.hexdigest())
+            print(variant or "default", fields, csvs.hexdigest(), manifest.hexdigest())
     return 0
 
 

@@ -1,7 +1,7 @@
 """Command line front end.
 
     beliefmesh run tmaze --steps 2 --seed 1 --out runs/demo
-    beliefmesh run elephant --agents 3 --steps 5 --no-share --transport socket
+    beliefmesh run elephant --agents 3 --steps 5 --k 0 --transport socket
 
 precedence: dataclass defaults < --config file < explicit flags.
 Exit codes: 0 success, 2 bad configuration or usage, 1 runtime failure.
@@ -35,10 +35,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--agents", type=int, help="number of agents")
     run.add_argument("--steps", type=int, help="environment steps / sharing rounds")
     run.add_argument("--seed", type=int, help="seed for every source of randomness")
-    share = run.add_mutually_exclusive_group()
-    share.add_argument("--share", dest="share", action="store_true", default=None)
-    share.add_argument("--no-share", dest="share", action="store_false")
-    run.add_argument("--k", type=int, help="sources fused per agent per round")
+    run.add_argument("--k", type=int, help="sources fused per agent per round (0: none)")
     run.add_argument("--gamma", type=float, help="action precision")
     run.add_argument("--depth", type=int, help="planning horizon")
     run.add_argument("--noise", type=float, help="observation confusion probability")

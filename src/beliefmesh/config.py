@@ -15,7 +15,7 @@ TRANSPORTS = ("mem", "socket")
 # fields a scenario never reads, at the one value that says so: any other
 # value would record a run that did not happen
 UNREAD = {
-    "tmaze": {"agents": 1, "k": None, "share": True, "noise": DEFAULT_NOISE, "transport": "mem"},
+    "tmaze": {"agents": 1, "k": None, "noise": DEFAULT_NOISE, "transport": "mem"},
     "elephant": {"gamma": DEFAULT_GAMMA, "depth": DEFAULT_DEPTH, "prune_threshold": DEFAULT_PRUNE},
 }
 
@@ -34,8 +34,7 @@ class ExperimentConfig:
     agents: int | None = None  # None: 3 for elephant, else 1
     steps: int = 2
     seed: int = 0
-    share: bool = True
-    k: int | None = None  # None: use every other agent
+    k: int | None = None  # sources each agent fuses: None every other agent, 0 none
     gamma: float = DEFAULT_GAMMA
     depth: int = DEFAULT_DEPTH
     prune_threshold: float = DEFAULT_PRUNE
@@ -80,11 +79,9 @@ def validate_config_fields(cfg) -> list[str]:
         problems.append(f"steps must be a positive integer, got {cfg.steps!r}")
     if not _is_int_at_least(cfg.seed, 0):
         problems.append(f"seed must be a non-negative integer, got {cfg.seed!r}")
-    if not isinstance(cfg.share, bool):
-        problems.append(f"share must be a boolean, got {cfg.share!r}")
     if cfg.k is not None:
-        if not _is_int_at_least(cfg.k, 1):
-            problems.append(f"k must be a positive integer or null, got {cfg.k!r}")
+        if not _is_int_at_least(cfg.k, 0):
+            problems.append(f"k must be a non-negative integer or null, got {cfg.k!r}")
         elif isinstance(cfg.agents, int) and cfg.k > max(cfg.agents - 1, 0):
             problems.append(f"k={cfg.k} exceeds the {max(cfg.agents - 1, 0)} available sources")
     if not _is_real(cfg.gamma) or not cfg.gamma > 0:

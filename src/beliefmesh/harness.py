@@ -12,7 +12,6 @@ import csv
 import json
 import sys
 from dataclasses import dataclass, field, replace
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -38,11 +37,10 @@ from .envs import (
     build_tmaze_model,
     feel_log_evidence,
 )
-from .inference import LOG_EVIDENCE_FLOOR, infer_states, snap, variational_free_energy
+from .inference import LOG_FLOOR, infer_states, snap, variational_free_energy
 from .net import (
     BeliefMessage,
     MemoryBus,
-    SocketEndpoint,
     SocketHub,
     SpatialAddress,
     fuse_evidence,
@@ -170,9 +168,10 @@ def run_single_agent(cfg: ExperimentConfig, model: GenerativeModel | None = None
 
 
 def run_collective(cfg: ExperimentConfig) -> RunResult:
-    """N agents around one scene, each feeling its own corner, optionally
-    pooling log-evidence about the shared factor over the wire. Agent i
-    watches from vantage point i % NUM_LOCATIONS, round-robin."""
+    """N agents around one scene, each feeling its own corner. Every round each
+    agent broadcasts its log-evidence about the shared factor over the wire and
+    fuses that of the cfg.k peers it expects to learn most from (k = 0: none,
+    a solo run). Agent i watches from vantage point i % NUM_LOCATIONS, round-robin."""
     if cfg.scenario != "elephant":
         raise ValueError(f"run_collective handles the elephant scenario, got {cfg.scenario!r}")
     n = cfg.agents
@@ -187,60 +186,44 @@ def run_collective(cfg: ExperimentConfig) -> RunResult:
     env_seeds = [int(seq.generate_state(1)[0]) for seq in root.spawn(n)]
     observations = [envs[i].reset(env_seeds[i]) for i in range(n)]
 
-    hub = None
+    bus = SocketHub() if cfg.transport == "socket" else MemoryBus()
     endpoints = []
     cumulative = [np.zeros(3) for _ in range(n)]
     records = [[] for _ in range(n)]
     synchrony_series = []
     try:
-        if cfg.share:
-            if cfg.transport == "socket":
-                hub = SocketHub()
-                connect = partial(SocketEndpoint, hub.address)
-            else:
-                connect = MemoryBus().endpoint
-            for i in range(n):  # one at a time, so a failed connect closes those before it
-                endpoints.append(connect(f"agent-{i}"))
+        for i in range(n):  # one at a time, so a failed connect closes those before it
+            endpoints.append(bus.endpoint(f"agent-{i}"))
         for t in range(cfg.steps):
             if t > 0:
                 observations = [envs[i].step() for i in range(n)]
             for i in range(n):
                 own = feel_log_evidence(models[i], observations[i][0], locations[i])
-                cumulative[i] = cumulative[i] + np.maximum(own, LOG_EVIDENCE_FLOOR)
-
-            if cfg.share:
-                for i in range(n):
-                    endpoints[i].send(
-                        BeliefMessage(
-                            origin=addresses[i],
-                            factor_id=WHAT_FACTOR_ID,
-                            log_evidence=cumulative[i],
-                            precision=1.0,
-                            timestamp=t,
-                        )
+                cumulative[i] = cumulative[i] + np.maximum(own, LOG_FLOOR)
+                endpoints[i].send(
+                    BeliefMessage(
+                        origin=addresses[i],
+                        factor_id=WHAT_FACTOR_ID,
+                        log_evidence=cumulative[i],
+                        precision=1.0,
+                        timestamp=t,
                     )
-                inboxes = [
-                    endpoints[i].poll(expect=n - 1, timeout=30.0) for i in range(n)
-                ]
+                )
+            inboxes = [endpoints[i].poll(expect=n - 1, timeout=30.0) for i in range(n)]
 
             posteriors = []
             for i in range(n):
                 own_only = fuse_evidence(ref_prior, (), own_log_evidence=cumulative[i])
-                if cfg.share:
-                    fresh = {
-                        msg.origin: msg
-                        for msg in inboxes[i]
-                        if msg.factor_id == WHAT_FACTOR_ID and msg.timestamp == t
-                    }
-                    sources = [
-                        (j, models[j].A[0][:, :, locations[j]]) for j in range(n) if j != i
-                    ]
-                    chosen = select_sources(own_only, sources, cfg.resolved_k())
-                    picked = [addresses[j] for j in sorted(chosen)]
-                    selected = [fresh[a] for a in picked if a in fresh]
-                    posterior = fuse_evidence(ref_prior, selected, own_log_evidence=cumulative[i])
-                else:
-                    posterior = own_only
+                fresh = {
+                    msg.origin: msg
+                    for msg in inboxes[i]
+                    if msg.factor_id == WHAT_FACTOR_ID and msg.timestamp == t
+                }
+                sources = [(j, models[j].A[0][:, :, locations[j]]) for j in range(n) if j != i]
+                chosen = select_sources(own_only, sources, cfg.resolved_k())
+                picked = [addresses[j] for j in sorted(chosen)]
+                selected = [fresh[a] for a in picked if a in fresh]
+                posterior = fuse_evidence(ref_prior, selected, own_log_evidence=cumulative[i])
                 posteriors.append(Categorical(snap(posterior.probs)))
 
             synchrony_series.append(mean_pairwise_synchrony([p.probs for p in posteriors]))
@@ -260,10 +243,7 @@ def run_collective(cfg: ExperimentConfig) -> RunResult:
                     )
                 )
     finally:
-        for ep in endpoints:
-            ep.close()
-        if hub is not None:
-            hub.close()
+        bus.close()
 
     trajectories = tuple(
         AgentTrajectory(agent_id=i, records=tuple(records[i])) for i in range(n)
@@ -271,7 +251,7 @@ def run_collective(cfg: ExperimentConfig) -> RunResult:
     extras = {
         "true_what": ELEPHANT,
         "locations": locations,
-        "decode_errors": [len(ep.decode_errors) for ep in endpoints] if endpoints else [],
+        "decode_errors": [len(ep.decode_errors) for ep in endpoints],
     }
     return RunResult(cfg, trajectories, tuple(synchrony_series), extras)
 
@@ -339,7 +319,8 @@ def write_logs(result: RunResult, out_dir) -> list[Path]:
         written.append(path)
 
     manifest = {
-        "config": result.config.to_dict(),
+        # where the logs went is not what the run did
+        "config": {k: v for k, v in result.config.to_dict().items() if k != "out_dir"},
         "versions": {
             "package": __version__,
             "numpy": np.__version__,

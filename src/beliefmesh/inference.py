@@ -35,15 +35,13 @@ DAMPING = 0.5
 MAX_ITERS = 50
 TOL = 1e-8
 
-# Finite stand-ins for ln 0. Both sit above ln of the smallest normal double
-# (about -708), so a state kept alive only by a floor scores exp(floor) ~ 1e-300
-# or 1e-304 and vanishes next to any real support after normalization.
-# LOG_FLOOR caps log-likelihoods inside mean-field messages, so a factor still
-# uncertain about its peers cannot annihilate a state that some peer
-# configuration supports. LOG_EVIDENCE_FLOOR caps the log-evidence an agent
-# sends, since wire vectors must stay finite.
+# The finite stand-in for ln 0. It sits above ln of the smallest normal double
+# (about -708), so a state kept alive only by the floor scores exp(floor) ~ 1e-300
+# and vanishes next to any real support after normalization. It caps
+# log-likelihoods inside mean-field messages, so a factor still uncertain about
+# its peers cannot annihilate a state that some peer configuration supports,
+# and the log-evidence an agent sends, since wire vectors must stay finite.
 LOG_FLOOR = -690.0
-LOG_EVIDENCE_FLOOR = -700.0
 
 # Mass below this after normalization is either floor residue (a floored entry
 # that enters with weight >= 1/2 scores at most exp(floor / 2) ~ 1e-150) or a

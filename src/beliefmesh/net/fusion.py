@@ -84,10 +84,10 @@ def select_sources(
     sources: Sequence[tuple],
     k: int,
 ) -> list:
-    """Ids of the k sources with the greatest expected information gain,
-    descending; exact ties go to the lower id. Each distinct likelihood is scored once."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    """Ids of the k sources (none for k = 0) with the greatest expected information
+    gain, descending; exact ties go to the lower id. Each distinct likelihood is scored once."""
+    if k < 0:
+        raise ValueError("k must be >= 0")
     if k > len(sources):
         raise KTooLargeError(f"k={k} but only {len(sources)} sources")
     gains, scored = {}, []

@@ -1,7 +1,8 @@
 """Two interchangeable broadcast transports with one contract.
 
 An endpoint sends belief messages and polls for messages from every other
-endpoint. Delivery preserves per-sender FIFO order and nothing more. The
+endpoint. Delivery preserves per-sender FIFO order and nothing more. Both buses
+hand out endpoints with endpoint(name) and close them all with close(). The
 in-memory bus is for single-process runs and tests; the socket hub speaks
 u32-little-endian length-prefixed frames over TCP and rebroadcasts each
 frame to all other connections.
@@ -123,6 +124,10 @@ class MemoryBus:
             self._endpoints.append(ep)
         return ep
 
+    def close(self) -> None:
+        for ep in self._endpoints:
+            ep.close()
+
     def _deliver(self, sender: MemoryEndpoint, frame: bytes) -> None:
         with self._lock:
             for ep in self._endpoints:
@@ -145,8 +150,14 @@ class SocketHub:
         self._selector.register(self._wake, selectors.EVENT_READ)
         self._inbufs: dict[socket.socket, bytearray] = {}
         self._outbufs: dict[socket.socket, bytearray] = {}
+        self._endpoints: list[SocketEndpoint] = []
         self._thread = threading.Thread(target=self._loop, daemon=True)
         self._thread.start()
+
+    def endpoint(self, name: str) -> SocketEndpoint:
+        ep = SocketEndpoint(self.address, name)
+        self._endpoints.append(ep)
+        return ep
 
     def _loop(self):
         try:
@@ -220,6 +231,8 @@ class SocketHub:
             conn.close()
 
     def close(self):
+        for ep in self._endpoints:
+            ep.close()
         if self._thread.is_alive():
             self._waker.send(b"\0")
             self._thread.join()

@@ -37,9 +37,9 @@ from beliefmesh.net.fusion import KTooLargeError, expected_info_gain_of_source
 
 def select_sources(belief, sources, k: int) -> list:
     """Ids of the k sources with the greatest expected information gain,
-    descending; exact ties go to the lower id. Scores every source."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    descending (none for k = 0); exact ties go to the lower id. Scores every source."""
+    if k < 0:
+        raise ValueError("k must be >= 0")
     if k > len(sources):
         raise KTooLargeError(f"k={k} but only {len(sources)} sources")
     scored = [
@@ -105,12 +105,9 @@ def run_collective(cfg) -> RunResult:
         posteriors = []
         for i in range(n):
             own_only = Categorical(fuse([cumulative[i]]))
-            if cfg.share:
-                sources = [(j, models[j].A[0][:, :, locations[j]]) for j in range(n) if j != i]
-                chosen = select_sources(own_only, sources, cfg.resolved_k())
-                probs = fuse([cumulative[i]] + [cumulative[j] for j in sorted(chosen)])
-            else:
-                probs = own_only.probs
+            sources = [(j, models[j].A[0][:, :, locations[j]]) for j in range(n) if j != i]
+            chosen = select_sources(own_only, sources, cfg.resolved_k())
+            probs = fuse([cumulative[i]] + [cumulative[j] for j in sorted(chosen)])
             probs = np.where(probs < 1e-150, 0.0, probs)
             posteriors.append(probs / probs.sum())
         synchrony_series.append(mean_pairwise_synchrony(posteriors))
@@ -133,6 +130,6 @@ def run_collective(cfg) -> RunResult:
     extras = {
         "true_what": envs[0].true_what,
         "locations": locations,
-        "decode_errors": [0] * n if cfg.share else [],
+        "decode_errors": [0] * n,
     }
     return RunResult(cfg, trajectories, tuple(synchrony_series), extras)

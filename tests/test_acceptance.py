@@ -176,7 +176,7 @@ def test_criterion_5_collective_inference():
     assert all(b <= a + 1e-12 for a, b in zip(series, series[1:]))
 
     solo = run_collective(
-        ExperimentConfig(scenario="elephant", agents=3, steps=3, seed=0, noise=0.0, share=False)
+        ExperimentConfig(scenario="elephant", agents=3, steps=3, seed=0, noise=0.0, k=0)
     )
     true_what = solo.extras["true_what"]
     solo_max = max(

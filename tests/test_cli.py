@@ -78,9 +78,9 @@ class TestPrecedence:
 
     def test_no_share_flag(self, tmp_path):
         out = tmp_path / "out"
-        rc = main(["run", "elephant", "--steps", "2", "--no-share", "--out", str(out)])
+        rc = main(["run", "elephant", "--steps", "2", "--k", "0", "--out", str(out)])
         assert rc == 0
-        assert read_manifest(out)["config"]["share"] is False
+        assert read_manifest(out)["config"]["k"] == 0
 
     def test_elephant_defaults_to_three_agents(self, tmp_path, capsys):
         rc = main(["run", "elephant", "--steps", "1"])
@@ -92,11 +92,6 @@ class TestPrecedence:
         dests = {a.dest for a in sub.choices["run"]._actions} - {"help", "config"}
         assert dests <= {f.name for f in dataclasses.fields(ExperimentConfig)}
         assert "out_dir" in dests
-
-    def test_share_and_no_share_conflict(self):
-        with pytest.raises(SystemExit) as exc:
-            main(["run", "elephant", "--share", "--no-share"])
-        assert exc.value.code == 2
 
 
 class TestOutput:

@@ -254,8 +254,8 @@ class TestDecodeErrors:
 
     def test_trailing_bytes(self):
         wire = encode_message(minimal_message())
-        with pytest.raises(TrailingBytes):
-            decode_message(wire + b"\x00")
+        with pytest.raises(TrailingBytes, match="^3 bytes after the message$"):
+            decode_message(wire + b"\x00" * 3)
 
     def test_nan_precision(self):
         wire = bytearray(encode_message(minimal_message()))

@@ -18,7 +18,6 @@ def test_minimal_config_uses_documented_defaults():
     assert cfg.agents == 1
     assert cfg.steps == 2
     assert cfg.seed == 0
-    assert cfg.share is True
     assert cfg.k is None
     assert cfg.gamma == 16.0
     assert cfg.depth == 2
@@ -55,6 +54,7 @@ def test_resolved_k_defaults_to_all_other_agents():
     assert cfg.resolved_k() == 3
     cfg = ExperimentConfig(scenario="elephant", agents=4, k=2)
     assert cfg.resolved_k() == 2
+    assert ExperimentConfig(scenario="elephant", agents=4, k=0).resolved_k() == 0
 
 
 @pytest.mark.parametrize(
@@ -65,8 +65,8 @@ def test_resolved_k_defaults_to_all_other_agents():
         {"agents": True},
         {"steps": 0},
         {"seed": -1},
-        {"share": "yes"},
-        {"k": 0},
+        {"k": -1},
+        {"k": True},
         {"gamma": 0.0},
         {"gamma": -2.0},
         {"depth": 0},
@@ -102,7 +102,7 @@ def test_problem_texts():
             agents=0,
             steps=True,
             seed=-1,
-            k=0,
+            k=-1,
             gamma=True,
             depth=1.5,
             prune_threshold="0",
@@ -112,7 +112,7 @@ def test_problem_texts():
         "agents must be a positive integer, got 0",
         "steps must be a positive integer, got True",
         "seed must be a non-negative integer, got -1",
-        "k must be a positive integer or null, got 0",
+        "k must be a non-negative integer or null, got -1",
         "gamma must be a positive number, got True",
         "depth must be a positive integer, got 1.5",
         "prune_threshold must lie in [0, 1), got '0'",
@@ -131,10 +131,7 @@ def test_problem_texts():
                 "tmaze does not read k: leave it at None, got 1",
             ],
         ),
-        (
-            dict(scenario="tmaze", share=False),
-            ["tmaze does not read share: leave it at True, got False"],
-        ),
+        (dict(scenario="tmaze", k=0), ["tmaze does not read k: leave it at None, got 0"]),
         (dict(scenario="tmaze", noise=0), ["tmaze does not read noise: leave it at 0.1, got 0"]),
         (
             dict(scenario="tmaze", transport="socket"),
@@ -161,7 +158,7 @@ def test_a_field_the_scenario_does_not_read_must_keep_its_default(fields, proble
 
 
 def test_unread_fields_at_their_defaults_are_accepted():
-    ExperimentConfig(scenario="tmaze", agents=1, k=None, share=True, noise=0.1, transport="mem")
+    ExperimentConfig(scenario="tmaze", agents=1, k=None, noise=0.1, transport="mem")
     ExperimentConfig(scenario="elephant", gamma=16, depth=2, prune_threshold=1 / 16)
 
 
@@ -179,6 +176,8 @@ class TestFromDict:
     def test_unknown_keys_rejected_by_name(self):
         with pytest.raises(ConfigInvalidError, match="unknown key 'sped'"):
             config_from_dict({"scenario": "tmaze", "sped": 3})
+        with pytest.raises(ConfigInvalidError, match="unknown key 'share'"):
+            config_from_dict({"scenario": "elephant", "share": False, "transport": "socket", "k": 1})
 
     def test_missing_scenario_rejected(self):
         with pytest.raises(ConfigInvalidError, match="scenario"):

@@ -244,8 +244,10 @@ class TestSelectSources:
             select_sources(Categorical.uniform(2), [(1, np.eye(2))], k=2)
 
     def test_k_below_one_is_rejected(self):
-        with pytest.raises(ValueError, match="k must be >= 1"):
-            select_sources(Categorical.uniform(2), [(1, np.eye(2))], k=0)
+        with pytest.raises(ValueError, match="k must be >= 0"):
+            select_sources(Categorical.uniform(2), [(1, np.eye(2))], k=-1)
+        # k = 0, a solo run, selects no source
+        assert select_sources(Categorical.uniform(2), [(1, np.eye(2))], k=0) == []
 
     def test_agrees_with_argmax_oracle(self):
         rng = np.random.default_rng(83)

@@ -30,7 +30,7 @@ from beliefmesh.harness import (
     run_single_agent,
     write_logs,
 )
-from beliefmesh.net import MemoryBus, SpatialAddress, decode_message, encode_message
+from beliefmesh.net import MemoryBus, SpatialAddress, decode_message, encode_message, transport
 from beliefmesh.planning import expected_free_energy, expected_states
 import collective_reference
 
@@ -122,7 +122,7 @@ class TestSynchronyAgainstReference:
         [
             dict(agents=3, noise=0.1),
             dict(agents=7, noise=0.2, k=2, seed=4),
-            dict(agents=12, noise=0.25, share=False, seed=2),
+            dict(agents=12, noise=0.25, k=0, seed=2),
             dict(agents=12, noise=0.1, k=5, seed=1),
         ],
     )
@@ -252,7 +252,7 @@ class TestCollective:
         assert all(s <= 1e-12 for s in r.synchrony_series)
 
     def test_without_sharing_agents_stay_ambiguous(self):
-        r = run_collective(elephant_cfg(share=False, steps=4))
+        r = run_collective(elephant_cfg(k=0, steps=4))
         finals = [traj.records[-1].beliefs[0] for traj in r.trajectories]
         np.testing.assert_allclose(finals[0], [0.5, 0.5, 0.0], atol=1e-12)
         np.testing.assert_allclose(finals[1], [0.5, 0.0, 0.5], atol=1e-12)
@@ -308,7 +308,7 @@ class TestCollective:
             assert (tmp_path / "foreign" / name).read_bytes() == clean
 
     def test_free_energy_is_finite_even_with_hard_zeros(self):
-        for cfg in (elephant_cfg(), elephant_cfg(share=False)):
+        for cfg in (elephant_cfg(), elephant_cfg(k=0)):
             r = run_collective(cfg)
             for traj in r.trajectories:
                 for rec in traj.records:
@@ -317,7 +317,7 @@ class TestCollective:
     def test_failed_connect_closes_the_hub_and_the_endpoints_opened(self, monkeypatch):
         opened = []
 
-        class FailingEndpoint(harness.SocketEndpoint):
+        class FailingEndpoint(transport.SocketEndpoint):
             def __init__(self, address, name=""):
                 if len(opened) == 2:
                     raise OSError(24, "Too many open files")
@@ -325,12 +325,30 @@ class TestCollective:
                 opened.append(self)
 
         threads = threading.active_count()
-        monkeypatch.setattr(harness, "SocketEndpoint", FailingEndpoint)
+        monkeypatch.setattr(transport, "SocketEndpoint", FailingEndpoint)
         with pytest.raises(OSError, match="Too many open files"):
             run_collective(elephant_cfg(agents=4, transport="socket"))
         assert threading.active_count() == threads
         assert len(opened) == 2
         assert all(ep._sock.fileno() == -1 for ep in opened)
+
+    def test_solo_socket_run_opens_one_hub_and_matches_mem(self, tmp_path, monkeypatch):
+        hubs = []
+
+        class CountingHub(harness.SocketHub):
+            def __init__(self):
+                super().__init__()
+                hubs.append(self)
+
+        monkeypatch.setattr(harness, "SocketHub", CountingHub)
+        sock = run_collective(elephant_cfg(agents=4, k=0, noise=0.2, transport="socket"))
+        assert len(hubs) == 1
+        assert sock.extras["decode_errors"] == [0] * 4
+        mem = run_collective(elephant_cfg(agents=4, k=0, noise=0.2))
+        got = write_logs(sock, tmp_path / "socket")
+        want = write_logs(mem, tmp_path / "mem")
+        csvs = [(p.name, p.read_bytes()) for p in want if p.suffix == ".csv"]
+        assert [(p.name, p.read_bytes()) for p in got if p.suffix == ".csv"] == csvs
 
     def test_more_agents_than_locations_wraps_vantage_points(self):
         r = run_collective(elephant_cfg(agents=5, steps=2))
@@ -352,7 +370,7 @@ class TestCollective:
     def test_solo_posteriors_miss_the_pooled_truth_by_wide_margin(self):
         from beliefmesh.envs import pooled_elephant_posterior
 
-        r = run_collective(elephant_cfg(share=False))
+        r = run_collective(elephant_cfg(k=0))
         obs = [(traj.records[0].obs[0], traj.records[0].obs[1]) for traj in r.trajectories]
         pooled = pooled_elephant_posterior(obs, noise=0.0)
         gaps = [
@@ -369,8 +387,8 @@ class TestCollectiveAgainstReference:
     @pytest.mark.parametrize("noise", [0.0, 0.05, 0.3, 0.5])
     @pytest.mark.parametrize("n", [2, 5, 12])
     def test_logs_match_the_reference_run(self, tmp_path, n, noise):
-        variants = [dict(transport=t, k=k) for t in ("mem", "socket") for k in (1, None)]
-        for i, variant in enumerate(variants + [dict(share=False)]):
+        variants = [dict(transport=t, k=k) for t in ("mem", "socket") for k in (0, 1, None)]
+        for i, variant in enumerate(variants):
             cfg = elephant_cfg(agents=n, steps=4, noise=noise, **variant)
             got = write_logs(run_collective(cfg), tmp_path / f"got{i}")
             want = write_logs(collective_reference.run_collective(cfg), tmp_path / f"want{i}")
@@ -465,17 +483,16 @@ class TestLogs:
             dict(scenario="elephant", steps=2, seed=2, transport="socket"),
         ],
     )
-    def test_the_manifest_config_replays_the_run(self, tmp_path, monkeypatch, fields):
-        # a relative out_dir, so the run and its replay record the same config
-        cfg = ExperimentConfig(**fields, out_dir="run")
-        logs = {}
-        for name in ("first", "replay"):
-            (tmp_path / name).mkdir()
-            monkeypatch.chdir(tmp_path / name)
-            logs[name] = [(p.name, p.read_bytes()) for p in run_experiment(cfg).logs]
-            cfg = config_from_dict(json.loads(logs[name][-1][1])["config"])
-            assert cfg == ExperimentConfig(**fields, out_dir="run")
-        assert logs["replay"] == logs["first"]
+    def test_the_manifest_config_replays_the_run(self, tmp_path, fields):
+        first = run_experiment(ExperimentConfig(**fields, out_dir=str(tmp_path / "first")))
+        logged = json.loads(first.logs[-1].read_text())["config"]
+        replay_cfg = config_from_dict({**logged, "out_dir": str(tmp_path / "replay")})
+        assert replay_cfg == ExperimentConfig(**fields, out_dir=str(tmp_path / "replay"))
+        replay = run_experiment(replay_cfg)
+        # the manifests too: where the logs went is not part of the run
+        assert [(p.name, p.read_bytes()) for p in replay.logs] == [
+            (p.name, p.read_bytes()) for p in first.logs
+        ]
 
     def test_tmaze_manifest_has_no_synchrony(self, tmp_path):
         r = run_single_agent(tmaze_cfg())

@@ -85,6 +85,12 @@ class TestExactPosterior:
             exact_posterior(m, (1,))
         with pytest.raises(ZeroEvidenceError, match="observation impossible under the prior"):
             infer_states(m, (1,))
+        # only state 1 emits observation 1, and the prior rules it out
+        m = two_state_model(a=np.eye(2), d=[1.0, 0.0])
+        with pytest.raises(ZeroEvidenceError):
+            exact_posterior(m, (1,))
+        with pytest.raises(ZeroEvidenceError, match="observation impossible under the prior"):
+            infer_states(m, (1,))
 
     def test_enumeration_guard(self):
         big = GenerativeModel(
@@ -99,6 +105,20 @@ class TestExactPosterior:
         )
         with pytest.raises(TooLargeError):
             exact_posterior(big, (0,))
+        # exactly ENUMERATION_GUARD joint states still enumerate
+        at_guard = GenerativeModel(
+            factor_dims=(1000, 1000),
+            modality_dims=(2,),
+            A=(np.full((2, 1000, 1000), 0.5),),
+            B=(np.eye(1000)[:, :, None],) * 2,
+            C=(np.zeros(2),),
+            D=(Categorical.uniform(1000),) * 2,
+            E=Categorical.uniform(1),
+            policies=(Policy(((0, 0),)),),
+        )
+        assert 1000 * 1000 == inference.ENUMERATION_GUARD
+        _, log_ev = exact_posterior(at_guard, (0,))
+        assert log_ev == pytest.approx(np.log(0.5), abs=1e-12)
 
     def test_matches_pure_python_oracle(self):
         rng = np.random.default_rng(7)

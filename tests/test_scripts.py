@@ -52,7 +52,7 @@ def test_log_digest_prints_one_stable_line_per_run(monkeypatch, capsys):
         yield ExperimentConfig(scenario="tmaze", steps=2, seed=0, depth=1), None
         yield ExperimentConfig(scenario="tmaze", steps=2, seed=1, depth=2), "flat"
         yield ExperimentConfig(scenario="elephant", agents=3, steps=2, seed=0), None
-        yield ExperimentConfig(scenario="elephant", agents=3, steps=2, seed=0, share=False), None
+        yield ExperimentConfig(scenario="elephant", agents=3, steps=2, seed=0, k=0), None
 
     monkeypatch.setattr(log_digest, "runs", runs)
     monkeypatch.setattr(sys, "path", list(sys.path))  # main() prepends --src
@@ -63,7 +63,10 @@ def test_log_digest_prints_one_stable_line_per_run(monkeypatch, capsys):
     lines = outputs[0].splitlines()
     assert outputs[0] == outputs[1]
     assert [line.split()[0] for line in lines] == ["default", "flat", "default", "default"]
-    assert len({line.split()[-1] for line in lines}) == 4  # one distinct sha256 per run
+    # a sha256 over the CSVs, then one over the manifest, distinct for each run
+    for column in (-2, -1):
+        assert len({line.split()[column] for line in lines}) == 4
+        assert all(re.fullmatch(r"[0-9a-f]{64}", line.split()[column]) for line in lines)
 
 
 def test_log_digest_matches_pinned_output(monkeypatch, capsys):

@@ -69,12 +69,17 @@ class TestMemoryBus:
 
     def test_closed_endpoint_raises(self):
         bus = MemoryBus()
-        a = bus.endpoint("a")
+        a, b = bus.endpoint("a"), bus.endpoint("b")
         a.close()
         with pytest.raises(ClosedError):
             a.send(msg("a", 1))
         with pytest.raises(ClosedError):
             a.poll()
+        bus.close()  # closes every endpoint the bus handed out
+        with pytest.raises(ClosedError):
+            b.send(msg("b", 1))
+        with pytest.raises(ClosedError):
+            b.poll()
 
     def test_oversized_frame_rejected_and_connection_dropped(self):
         bus = MemoryBus()
@@ -105,9 +110,7 @@ class TestSocketHub:
     def test_fifo_and_broadcast(self):
         hub = SocketHub()
         try:
-            a = SocketEndpoint(hub.address, "a")
-            b = SocketEndpoint(hub.address, "b")
-            c = SocketEndpoint(hub.address, "c")
+            a, b, c = hub.endpoint("a"), hub.endpoint("b"), hub.endpoint("c")
             a.send(msg("a", 1))
             a.send(msg("a", 2))
             b.send(msg("b", 10))
@@ -116,8 +119,6 @@ class TestSocketHub:
             assert sender_ticks(got_c, "b") == [10]
             got_b = b.poll(expect=2)
             assert sender_ticks(got_b, "a") == [1, 2]
-            for ep in (a, b, c):
-                ep.close()
         finally:
             hub.close()
 
@@ -290,16 +291,15 @@ class TestSocketClose:
         start = threading.active_count()
         before = set(threading.enumerate())
         hub = SocketHub()
-        eps = [SocketEndpoint(hub.address, name) for name in "abc"]
+        eps = [hub.endpoint(name) for name in "abc"]
         eps[0].send(msg("a", 1))
         eps[1].send(msg("b", 2))
         assert sorted(m.timestamp for m in eps[2].poll(expect=2, timeout=5.0)) == [1, 2]
         # the hub's selector loop is the only transport thread
         (loop,) = set(threading.enumerate()) - before
-        for ep in eps:
-            ep.close()
         t0 = time.monotonic()
         hub.close()
         assert time.monotonic() - t0 < 2.0
         assert not loop.is_alive()
+        assert all(ep._sock.fileno() == -1 for ep in eps)
         assert threading.active_count() <= start
