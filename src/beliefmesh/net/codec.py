@@ -1,6 +1,7 @@
 """Binary wire format for belief messages.
 
-Layout, all multi-byte values little-endian:
+Layout, all multi-byte values little-endian; the frames in
+tests/golden_frames.json pin it in both directions, so it is a checked spec:
 
     magic "AIMP"                      4 bytes
     version                           u8  (= 1)
@@ -16,17 +17,23 @@ Layout, all multi-byte values little-endian:
     CRC32 (IEEE) of all prior bytes   u32
 
 The decoder checks the structure (magic, version, lengths, coords flag,
-trailing bytes) and the CRC. The field contents are judged in one place, by
-BeliefMessage and SpatialAddress: a non-finite value becomes NonFiniteValue,
-any other rejected value InvalidFieldValue. The decoder is still total: any
-byte buffer yields a message or a DecodeError, never an unhandled exception
-or an out-of-bounds read.
+trailing bytes) and the CRC in one pass over the bytes. The field contents
+are judged in one place, by BeliefMessage and SpatialAddress: a non-finite
+value becomes NonFiniteValue, any other rejected value InvalidFieldValue.
+Origins are interned by their raw bytes (segment count through coords): an
+origin that SpatialAddress accepted once is reused, not rebuilt, and one it
+rejected is judged again each time. The decoder is still total: any byte
+buffer yields a message or a DecodeError, never an unhandled exception or
+an out-of-bounds read.
 """
 
 from __future__ import annotations
 
 import struct
+import threading
 import zlib
+
+import numpy as np
 
 from ..core import NonFiniteError
 from .messages import BeliefMessage, SpatialAddress
@@ -36,6 +43,9 @@ VERSION = 1
 MAX_SEGMENTS = 0xFF
 MAX_SEGMENT_BYTES = 0xFFFF
 MAX_VECTOR_LEN = 0xFFFF
+_FIXED = struct.Struct("<IQdH")  # factor_id, timestamp, precision, vector length
+_CRC = struct.Struct("<I")
+_COORDS = struct.Struct("<3d")
 
 
 class EncodeError(ValueError):
@@ -106,58 +116,81 @@ def encode_message(msg: BeliefMessage) -> bytes:
     out += struct.pack(
         f"<IQdH{n}d", msg.factor_id, msg.timestamp, msg.precision, n, *msg.log_evidence
     )
-    out += struct.pack("<I", zlib.crc32(out) & 0xFFFFFFFF)
+    out += _CRC.pack(zlib.crc32(out))
     return bytes(out)
 
 
-def _unpack(fmt: str, buf: bytes, pos: int, what: str) -> tuple:
-    try:
-        return struct.unpack_from(fmt, buf, pos)
-    except struct.error:
-        raise Truncated(f"buffer ends inside {what}") from None
+# Validated origins by their raw bytes (segment count through coords); the
+# first ORIGIN_CACHE_SIZE distinct ones are kept for the process's life.
+ORIGIN_CACHE_SIZE = 1024
+_origins: dict[bytes, SpatialAddress] = {}
+_origins_lock = threading.Lock()  # endpoints may decode on several threads
+
+
+def _origin(raw: bytes) -> SpatialAddress:
+    """The address whose wire bytes are raw, built and judged by SpatialAddress."""
+    segments, pos = [], 1
+    for _ in range(raw[0]):
+        length = raw[pos] | raw[pos + 1] << 8
+        segments.append(raw[pos + 2 : pos + 2 + length].decode("utf-8"))
+        pos += 2 + length
+    coords = _COORDS.unpack_from(raw, pos + 1) if raw[pos] else None
+    origin = SpatialAddress(tuple(segments), coords)
+    with _origins_lock:
+        if len(_origins) < ORIGIN_CACHE_SIZE:
+            _origins[raw] = origin
+    return origin
 
 
 def decode_message(buf: bytes) -> BeliefMessage:
     buf = bytes(buf)
-    (magic,) = _unpack("<4s", buf, 0, "magic")
-    if magic != MAGIC:
-        raise BadMagic(f"expected {MAGIC!r}, got {magic!r}")
-    (version,) = _unpack("<B", buf, 4, "version")
-    if version != VERSION:
-        raise UnsupportedVersion(f"version {version}, supported: {VERSION}")
-    (n_segments,) = _unpack("<B", buf, 5, "segment count")
+    size = len(buf)
+    if size < 4:
+        raise Truncated("buffer ends inside magic")
+    if buf[:4] != MAGIC:
+        raise BadMagic(f"expected {MAGIC!r}, got {buf[:4]!r}")
+    if size < 5:
+        raise Truncated("buffer ends inside version")
+    if buf[4] != VERSION:
+        raise UnsupportedVersion(f"version {buf[4]}, supported: {VERSION}")
+    if size < 6:
+        raise Truncated("buffer ends inside segment count")
     pos = 6
-    raw_segments = []
-    for i in range(n_segments):
-        (length,) = _unpack("<H", buf, pos, f"segment {i} length")
-        (raw,) = _unpack(f"<{length}s", buf, pos + 2, f"segment {i}")
-        raw_segments.append(raw)
-        pos += 2 + length
-    (coords_flag,) = _unpack("<B", buf, pos, "coords flag")
-    if coords_flag not in (0, 1):
-        raise InvalidFieldValue(f"coords flag must be 0 or 1, got {coords_flag}")
-    pos += 1
-    coords = None
-    if coords_flag:
-        coords = _unpack("<3d", buf, pos, "coords")
-        pos += 24
-    factor_id, timestamp, precision, n = _unpack("<IQdH", buf, pos, "factor_id to vector length")
-    pos += 22
-    vector = _unpack(f"<{n}d", buf, pos, "log-evidence vector")
-    pos += 8 * n
-    (stored_crc,) = _unpack("<I", buf, pos, "crc")
-    if pos + 4 != len(buf):
-        raise TrailingBytes(f"{len(buf) - pos - 4} bytes after the message")
-    actual_crc = zlib.crc32(buf[:pos]) & 0xFFFFFFFF
+    for i in range(buf[5]):
+        if size < pos + 2:
+            raise Truncated(f"buffer ends inside segment {i} length")
+        pos += 2 + (buf[pos] | buf[pos + 1] << 8)
+        if size < pos:
+            raise Truncated(f"buffer ends inside segment {i}")
+    if size <= pos:
+        raise Truncated("buffer ends inside coords flag")
+    if buf[pos] > 1:
+        raise InvalidFieldValue(f"coords flag must be 0 or 1, got {buf[pos]}")
+    origin_end = pos + 1 + 24 * buf[pos]
+    if size < origin_end:
+        raise Truncated("buffer ends inside coords")
+    if size < origin_end + 22:
+        raise Truncated("buffer ends inside factor_id to vector length")
+    factor_id, timestamp, precision, n = _FIXED.unpack_from(buf, origin_end)
+    pos = origin_end + 22 + 8 * n
+    if size < pos:
+        raise Truncated("buffer ends inside log-evidence vector")
+    if size < pos + 4:
+        raise Truncated("buffer ends inside crc")
+    if size > pos + 4:
+        raise TrailingBytes(f"{size - pos - 4} bytes after the message")
+    (stored_crc,) = _CRC.unpack_from(buf, pos)
+    actual_crc = zlib.crc32(memoryview(buf)[:pos])
     if stored_crc != actual_crc:
         raise CrcMismatch(f"stored {stored_crc:#010x}, computed {actual_crc:#010x}")
 
     # structure and integrity hold; the message types judge the field contents
     try:
+        raw_origin = buf[5:origin_end]
         return BeliefMessage(
-            origin=SpatialAddress(tuple(raw.decode("utf-8") for raw in raw_segments), coords),
+            origin=_origins.get(raw_origin) or _origin(raw_origin),
             factor_id=factor_id,
-            log_evidence=vector,
+            log_evidence=np.frombuffer(buf, "<f8", count=n, offset=origin_end + 22),
             precision=precision,
             timestamp=timestamp,
         )

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,7 +23,9 @@ class SpatialAddress:
     coords: tuple[float, float, float] | None = None
 
     def __post_init__(self):
-        segs = tuple(str(s) for s in self.segments)
+        if isinstance(self.segments, str):
+            raise TypeError(f"segments must be a tuple of strings, got the str {self.segments!r}")
+        segs = tuple(map(str, self.segments))
         if not segs:
             raise ValueError("address needs at least one segment")
         for s in segs:
@@ -33,20 +37,20 @@ class SpatialAddress:
                 s.encode("utf-8")
             except UnicodeEncodeError:
                 raise ValueError(f"address segment {s!r} is not encodable as UTF-8") from None
-        object.__setattr__(self, "segments", segs)
+        xyz = None
         if self.coords is not None:
-            xyz = tuple(float(c) for c in self.coords)
+            xyz = tuple(map(float, self.coords))
             if len(xyz) != 3:
                 raise ValueError("coords must be three reals")
-            if not all(np.isfinite(c) for c in xyz):
+            if not all(map(math.isfinite, xyz)):
                 raise NonFiniteError("coords must be finite")
-            object.__setattr__(self, "coords", xyz)
+        self.__dict__.update(segments=segs, coords=xyz)
 
     def canonical(self) -> str:
         return "/".join(self.segments)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class BeliefMessage:
     """The wire unit: who says it, which shared factor, the evidence vector,
     how confident, and when (sender-monotonic ticks)."""
@@ -54,32 +58,32 @@ class BeliefMessage:
     origin: SpatialAddress
     factor_id: int
     log_evidence: np.ndarray
-    precision: float = 1.0
-    timestamp: int = 0
+    precision: float
+    timestamp: int
 
-    def __post_init__(self):
-        fid = int(self.factor_id)
+    def __init__(self, origin, factor_id, log_evidence, precision=1.0, timestamp=0):
+        # checks each field and sets it once; the dataclass __init__ would set it twice
+        fid = operator.index(factor_id)
         if not (0 <= fid <= U32_MAX):
             raise ValueError(f"factor_id {fid} outside u32 range")
-        object.__setattr__(self, "factor_id", fid)
-        ts = int(self.timestamp)
+        ts = operator.index(timestamp)
         if not (0 <= ts <= U64_MAX):
             raise ValueError(f"timestamp {ts} outside u64 range")
-        object.__setattr__(self, "timestamp", ts)
         # precision before the vector: a frame with both wrong reports the precision
-        prec = float(self.precision)
-        if not np.isfinite(prec):
+        prec = float(precision)
+        if not math.isfinite(prec):
             raise NonFiniteError(f"precision must be finite, got {prec}")
         if prec < 0:
             raise ValueError(f"precision must be >= 0, got {prec}")
-        object.__setattr__(self, "precision", prec)
-        vec = np.array(self.log_evidence, dtype=np.float64, copy=True)
+        vec = np.array(log_evidence, dtype=np.float64, copy=True)
         if vec.ndim != 1 or vec.size < 1:
             raise ValueError("log_evidence must be a non-empty vector")
-        if not np.isfinite(vec).all():
+        if not all(map(math.isfinite, vec.tolist())):
             raise NonFiniteError("log_evidence entries must be finite")
         vec.setflags(write=False)
-        object.__setattr__(self, "log_evidence", vec)
+        self.__dict__.update(
+            origin=origin, factor_id=fid, log_evidence=vec, precision=prec, timestamp=ts
+        )
 
     def __eq__(self, other):
         if not isinstance(other, BeliefMessage):

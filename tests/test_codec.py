@@ -1,7 +1,10 @@
 """Wire format: exact layout, roundtrip identity, and decoder totality."""
 
+import hashlib
+import json
 import struct
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import codec_reference
+from beliefmesh.net import codec
 from beliefmesh.net import (
     BadMagic,
     BeliefMessage,
@@ -131,6 +135,24 @@ class TestMessageFields:
         with pytest.raises(ValueError, match=f"^{message}$"):
             build()
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: minimal_message(factor_id=3.7),
+            lambda: minimal_message(timestamp=2.9),
+            lambda: SpatialAddress("room"),
+        ],
+        ids=["float-factor-id", "float-timestamp", "str-segments"],
+    )
+    def test_a_field_of_the_wrong_type_is_rejected_not_coerced(self, build):
+        with pytest.raises(TypeError):
+            build()
+
+    def test_numpy_integers_are_integral_fields(self):
+        msg = minimal_message(factor_id=np.uint32(5), timestamp=np.int64(2))
+        assert (msg.factor_id, msg.timestamp) == (5, 2)
+        assert type(msg.factor_id) is int and type(msg.timestamp) is int
+
     def test_a_message_never_equals_another_type(self):
         msg = minimal_message()
         assert msg.__eq__(1) is NotImplemented
@@ -164,6 +186,73 @@ class TestLayout:
     def test_coords_add_24_bytes(self):
         with_coords = minimal_message(origin=SpatialAddress(("a",), (1.0, 2.0, 3.0)))
         assert len(encode_message(with_coords)) == 44 + 24
+
+
+GOLDEN_FRAMES = json.loads(
+    Path(__file__).with_name("golden_frames.json").read_text(encoding="utf-8")
+)
+
+
+def golden_message(fields):
+    coords = fields["coords"]
+    return BeliefMessage(
+        origin=SpatialAddress(tuple(fields["segments"]), None if coords is None else tuple(coords)),
+        factor_id=fields["factor_id"],
+        log_evidence=np.array(fields["log_evidence"], dtype=np.float64),
+        precision=fields["precision"],
+        timestamp=fields["timestamp"],
+    )
+
+
+# The two boundary frames, built by rule and pinned by (length, sha256):
+# one segment of 65,535 "x" bytes (the u16 length's ceiling), and the
+# longest vector, 65,535 entries -i/64 for i = 0..65534 (the u16 count's).
+BUILT_FRAMES = {
+    "longest-segment": (
+        lambda: BeliefMessage(SpatialAddress(("x" * 0xFFFF,)), 1, np.array([0.5]), 1.0, 2),
+        65_578,
+        "faa0056b0824725b2ceebd55b5b55b97623ec156522101bfa2273d0eb0c6b292",
+    ),
+    "longest-vector": (
+        lambda: BeliefMessage(
+            SpatialAddress(("room", "agent-0")), 0, -np.arange(0xFFFF) / 64.0, 1.0, 4
+        ),
+        524_328,
+        "4bdfd6e2c26de9eaee3368266d7f0f7af4fa0a9d4b2169f1534de35b5e4a207f",
+    ),
+}
+
+
+class TestGoldenFrames:
+    """tests/golden_frames.json is the checked spec of the wire layout: each
+    frame's fields encode to its bytes and its bytes decode to its fields."""
+
+    @pytest.mark.parametrize("golden", GOLDEN_FRAMES, ids=[g["name"] for g in GOLDEN_FRAMES])
+    def test_fields_and_bytes_pin_each_other(self, golden):
+        wire, msg = bytes.fromhex(golden["hex"]), golden_message(golden)
+        assert encode_message(msg) == wire
+        back = decode_message(wire)
+        assert back == msg
+        assert back.origin.segments == tuple(golden["segments"])
+        # == cannot tell -0.0 from 0.0; the bytes can
+        assert back.log_evidence.tobytes() == msg.log_evidence.tobytes()
+
+    def test_the_frames_cover_the_named_cases(self):
+        by_name = {g["name"]: g for g in GOLDEN_FRAMES}
+        assert by_name["no-coords"]["coords"] is None
+        assert by_name["with-coords"]["coords"] is not None
+        assert any(not s.isascii() for s in by_name["non-ascii-segment"]["segments"])
+        assert len(by_name["255-segments"]["segments"]) == 255
+
+    @pytest.mark.parametrize("name", BUILT_FRAMES)
+    def test_boundary_frame_pins_both_directions(self, name):
+        build, length, digest = BUILT_FRAMES[name]
+        msg = build()
+        wire = encode_message(msg)
+        assert (len(wire), hashlib.sha256(wire).hexdigest()) == (length, digest)
+        back = decode_message(wire)
+        assert back == msg
+        assert back.log_evidence.tobytes() == msg.log_evidence.tobytes()
 
 
 class TestRoundtrip:
@@ -223,6 +312,21 @@ class TestDecodeErrors:
         wire = encode_message(random_message(np.random.default_rng(3)))
         for cut in range(len(wire)):
             with pytest.raises(DecodeError):
+                decode_message(wire[:cut])
+
+    def test_each_truncation_names_its_field(self):
+        # two segments "ab", "c", coords, a 2-entry vector: each field's end offset
+        wire = frame(segments=(b"ab", b"c"), coords=(1.0, 2.0, 3.0), vector=(0.5, 1.5))
+        ends = [
+            (4, "magic"), (5, "version"), (6, "segment count"), (8, "segment 0 length"),
+            (10, "segment 0"), (12, "segment 1 length"), (13, "segment 1"),
+            (14, "coords flag"), (38, "coords"), (60, "factor_id to vector length"),
+            (76, "log-evidence vector"), (80, "crc"),
+        ]
+        assert len(wire) == 80
+        for cut in range(len(wire)):
+            field = next(name for end, name in ends if cut < end)
+            with pytest.raises(Truncated, match=f"^buffer ends inside {field}$"):
                 decode_message(wire[:cut])
 
     def test_payload_bit_flip_is_crc_mismatch(self):
@@ -410,3 +514,87 @@ class TestAgainstReference:
         differ, kinds = differences([wire])
         assert differ == []
         assert kinds <= {InvalidFieldValue, NonFiniteValue}
+
+
+def decoded(buf):
+    """The re-encoded message, or the DecodeError's class and text."""
+    try:
+        return encode_message(decode_message(buf))
+    except DecodeError as exc:
+        return type(exc), str(exc)
+
+
+class TestOriginCache:
+    """Interning decoded origins changes no outcome, only the work."""
+
+    @pytest.fixture(autouse=True)
+    def empty_cache(self):
+        codec._origins.clear()
+        yield
+        codec._origins.clear()
+
+    def test_cold_and_warm_decodes_agree_on_every_corpus(self):
+        corpora = [
+            fuzz_buffers(),
+            (wire[:cut] for wire in reference_frames() for cut in range(len(wire) + 1)),
+            (flipped for wire in reference_frames() for flipped in bit_flips(wire)),
+            MULTI_FAULT_FRAMES.values(),
+        ]
+        differ, hits = [], 0
+        for buffers in corpora:
+            for buf in buffers:
+                codec._origins.clear()
+                cold = decoded(buf)
+                hits += len(codec._origins)
+                if decoded(buf) != cold:
+                    differ.append(buf)
+        assert differ == []
+        assert hits > 1000  # the warm decodes did find their origins cached
+
+    def test_a_cached_origin_excuses_no_fault_in_the_rest_of_the_frame(self):
+        wire = encode_message(minimal_message(origin=SpatialAddress(("room", "agent-1"))))
+        first = decode_message(wire)
+        assert decode_message(wire).origin is first.origin
+        assert len(codec._origins) == 1
+        stale = bytearray(wire)
+        stale[-6] ^= 0x01  # inside the vector; the CRC is left as it was
+        nan_precision = bytearray(wire)
+        struct.pack_into("<d", nan_precision, len(wire) - 22, NAN)
+        faults = [
+            (wire[:-1], Truncated, "^buffer ends inside crc$"),
+            (wire[:-9], Truncated, "^buffer ends inside log-evidence vector$"),
+            (wire + b"\x00\x00", TrailingBytes, "^2 bytes after the message$"),
+            (bytes(stale), CrcMismatch, "^stored 0x[0-9a-f]{8}, computed 0x[0-9a-f]{8}$"),
+            (repack_crc(nan_precision), NonFiniteValue, "^precision must be finite, got nan$"),
+        ]
+        for buf, error, message in faults:
+            with pytest.raises(error, match=message):
+                decode_message(buf)
+        assert len(codec._origins) == 1
+
+    def test_a_rejected_origin_is_never_cached(self):
+        wire = frame(segments=(b"a/b",))
+        for _ in range(2):
+            with pytest.raises(InvalidFieldValue, match="contains '/'"):
+                decode_message(wire)
+        assert codec._origins == {}
+
+    def test_a_decoded_vector_is_a_read_only_copy_of_the_input(self):
+        msg = minimal_message(origin=SpatialAddress(("room",)), log_evidence=np.array([1.0, 2.0]))
+        buf = bytearray(encode_message(msg))
+        back = decode_message(buf)
+        assert not back.log_evidence.flags.writeable and back.log_evidence.flags.owndata
+        with pytest.raises(ValueError):
+            back.log_evidence[0] = 5.0
+        buf[:] = bytes(len(buf))
+        assert back == msg
+
+    def test_more_origins_than_the_bound_fill_it_and_decode_correctly(self):
+        messages = [
+            minimal_message(origin=SpatialAddress(("room", f"agent-{i}")), timestamp=i)
+            for i in range(codec.ORIGIN_CACHE_SIZE + 50)
+        ]
+        for _ in range(2):  # the second pass mixes hits and misses
+            for msg in messages:
+                assert decode_message(encode_message(msg)) == msg
+            assert len(codec._origins) == codec.ORIGIN_CACHE_SIZE
